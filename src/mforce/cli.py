@@ -39,9 +39,8 @@ from .strong_forcing import (
     is_strongly_forcing,
     linear_zero_construction,
     search_max,
-    thread_cap,
 )
-from .verification import FAIL, run_suite
+from .verification import FAIL, SUITES, run_suite
 
 
 class CliError(Exception):
@@ -194,7 +193,6 @@ def cmd_construct(args: argparse.Namespace) -> int:
 
 def cmd_search(args: argparse.Namespace) -> int:
     pattern = load_pattern(args.pattern)
-    thread_cap()  # validate MFORCE_THREADS early; the search runs one worker
     config = SearchConfig(
         node_budget=args.node_budget,
         time_budget=args.time_budget,
@@ -209,7 +207,9 @@ def cmd_search(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     started = time.monotonic()
-    rows = run_suite(args.suite, n_max=args.n_max, k_max=args.k_max)
+    names = sorted(SUITES) if args.suite == "all" else [args.suite]
+    rows = [row for name in names
+            for row in run_suite(name, n_max=args.n_max, k_max=args.k_max)]
     failed = sum(1 for row in rows if row.status == FAIL)
     if args.format == "json":
         print(_report(
@@ -291,11 +291,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--cache", help="JSON results cache path")
     p_search.set_defaults(func=cmd_search)
 
-    p_verify = sub.add_parser("verify", help="run a named verification suite")
-    p_verify.add_argument(
-        "--suite", required=True,
-        choices=("lemma21", "formulas", "perm-bounds", "2x2", "3x3", "dihedral", "conjecture"),
-    )
+    p_verify = sub.add_parser("verify", help="run a named verification suite, or all of them")
+    p_verify.add_argument("--suite", required=True, choices=[*SUITES, "all"],
+                          help="all runs every suite in name order")
     p_verify.add_argument("--n-max", type=int)
     p_verify.add_argument("--k-max", type=int)
     p_verify.add_argument("--format", choices=("csv", "json"), default="csv")

@@ -10,7 +10,7 @@ from __future__ import annotations
 from itertools import combinations
 from math import comb
 
-from .bitmatrix import BitMatrix
+from .bitmatrix import BitMatrix, serialize
 
 DEFAULT_PLACEMENT_CAP = 10**7
 
@@ -109,5 +109,5 @@ def oracle_max_strong(n: int, pattern: BitMatrix, allow_slow_sweep: bool = False
                 level = [mat]
             else:
                 level.append(mat)
-    level.sort(key=lambda m: m.bits)
+    level.sort(key=serialize)
     return best, level

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -337,26 +336,27 @@ def apply_symmetry(mat: BitMatrix, ops: Iterable[str]) -> BitMatrix:
     return mat
 
 
+def symmetry_ops(mat: BitMatrix) -> tuple[tuple[str, ...], ...]:
+    """Generator sequences of mat's symmetry group: all eight when square, else four."""
+    return _SQUARE_OPS if mat.rows == mat.cols else _RECT_OPS
+
+
 def dihedral_class(pattern: BitMatrix) -> frozenset[BitMatrix]:
     """Orbit under row reversal, column reversal, and (square only) transposition."""
-    ops = _SQUARE_OPS if pattern.rows == pattern.cols else _RECT_OPS
-    return frozenset(apply_symmetry(pattern, seq) for seq in ops)
+    return frozenset(apply_symmetry(pattern, seq) for seq in symmetry_ops(pattern))
 
 
 def canonical_form(pattern: BitMatrix) -> BitMatrix:
     """The orbit member with the lexicographically least text form."""
-    return min(dihedral_class(pattern), key=serialize)
+    return canonical_with_ops(pattern)[0]
 
 
-def _canonical_with_ops(pattern: BitMatrix) -> tuple[BitMatrix, tuple[str, ...]]:
-    ops_list = _SQUARE_OPS if pattern.rows == pattern.cols else _RECT_OPS
-    best = pattern
-    best_ops: tuple[str, ...] = ()
-    for seq in ops_list:
-        img = apply_symmetry(pattern, seq)
-        if serialize(img) < serialize(best):
-            best, best_ops = img, seq
-    return best, best_ops
+def canonical_with_ops(pattern: BitMatrix) -> tuple[BitMatrix, tuple[str, ...]]:
+    """The orbit member with the least text form, and the first sequence reaching it."""
+    return min(
+        ((apply_symmetry(pattern, seq), seq) for seq in symmetry_ops(pattern)),
+        key=lambda image_seq: serialize(image_seq[0]),
+    )
 
 
 # -- exact search -------------------------------------------------------------------
@@ -462,9 +462,8 @@ def _baseline_witness(n: int, pattern: BitMatrix) -> BitMatrix:
         bases.append((identity(k), extremal_identity_witness(n, k)))
         if k == 3:
             bases.append((permutation_matrix((0, 2, 1)), extremal_132_witness(n)))
-    ops_list = _SQUARE_OPS if pattern.rows == pattern.cols else _RECT_OPS
     for base_pattern, base_witness in bases:
-        for seq in ops_list:
+        for seq in symmetry_ops(pattern):
             if apply_symmetry(pattern, seq) == base_pattern:
                 candidates.append(apply_symmetry(base_witness, tuple(reversed(seq))))
                 break
@@ -490,8 +489,7 @@ def search_max(n: int, pattern: BitMatrix, config: SearchConfig | None = None,
 
     With enumerate_all_extremal the whole maximum level set is collected;
     witnesses are always sorted by text form. nodes_explored counts row
-    placement attempts. Single-threaded; the MFORCE_THREADS cap is honoured
-    trivially.
+    placement attempts.
     """
     config = config or SearchConfig()
     s, t = pattern.rows, pattern.cols
@@ -503,7 +501,7 @@ def search_max(n: int, pattern: BitMatrix, config: SearchConfig | None = None,
         raise ValueError("exact search supports orders up to 16")
 
     if config.use_dihedral_reduction:
-        canon, ops = _canonical_with_ops(pattern)
+        canon, ops = canonical_with_ops(pattern)
         if canon != pattern:
             base = search_max(n, canon, replace(config, use_dihedral_reduction=False), cache)
             inv = tuple(reversed(ops))
@@ -683,12 +681,3 @@ class ResultsCache:
     def save(self) -> None:
         self.path.write_text(json.dumps(self.entries, indent=2, sort_keys=True) + "\n")
 
-
-def thread_cap() -> int:
-    """Worker cap from MFORCE_THREADS; the search currently runs one thread."""
-    raw = os.environ.get("MFORCE_THREADS", "1")
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"MFORCE_THREADS must be an integer, got {raw!r}") from exc
-    return max(1, cap)

@@ -4,6 +4,11 @@ Each suite replays one family of claims (formula agreement, extremal values,
 symmetry transfer, bound consistency) against independent recomputation and
 returns tabular rows. Suites aggregate instances into one row per checked
 statement so tables stay readable at CLI scale.
+
+Every suite takes the same keywords, n_max (ambient order) and k_max
+(pattern order), each with the suite's own default; a suite whose instances
+do not vary in one of them ignores it. run_suite is the single entry point,
+used by `mforce verify`.
 """
 
 from __future__ import annotations
@@ -30,7 +35,6 @@ from .oracle import oracle_max_strong, oracle_minimal_forcing
 from .patterns import all_permutation_matrices, named, permutation_of
 from .strong_forcing import (
     SearchConfig,
-    _SQUARE_OPS,
     apply_symmetry,
     conjectured_max_identity,
     extremal_123_witness,
@@ -40,6 +44,7 @@ from .strong_forcing import (
     is_strongly_forcing,
     recurrence_lower_bound,
     search_max,
+    symmetry_ops,
     upper_bound_3x3,
     upper_bound_simple,
 )
@@ -47,6 +52,12 @@ from .strong_forcing import (
 PASS = "pass"
 FAIL = "fail"
 OPEN = "open"
+
+# Largest order of the 3x3-suite construction checks.
+CONSTRUCTION_N_MAX = 12
+# The conjecture suite searches only orders with n^2 <= this, within this many nodes.
+CONJECTURE_SEARCH_MAX_AREA = 36
+CONJECTURE_NODE_BUDGET = 8_000_000
 
 
 @dataclass(frozen=True)
@@ -90,7 +101,7 @@ def _small_patterns(max_rows: int = 3, max_cols: int = 3) -> list[BitMatrix]:
     return pats
 
 
-def suite_lemma21(n_max: int = 7) -> list[VerifyRow]:
+def suite_lemma21(n_max: int = 7, k_max: int | None = None) -> list[VerifyRow]:
     """Window construction equals the all-placements oracle, all patterns <= 3x3."""
     rows = []
     pats = _small_patterns()
@@ -112,7 +123,7 @@ def suite_lemma21(n_max: int = 7) -> list[VerifyRow]:
     return rows
 
 
-def suite_formulas(n_max: int = 7) -> list[VerifyRow]:
+def suite_formulas(n_max: int = 7, k_max: int | None = None) -> list[VerifyRow]:
     """Closed-form minimum counts match the window construction wherever they apply."""
     rows = []
     pats = _small_patterns()
@@ -144,7 +155,7 @@ def suite_formulas(n_max: int = 7) -> list[VerifyRow]:
     return rows
 
 
-def suite_perm_bounds(k_max: int = 5) -> list[VerifyRow]:
+def suite_perm_bounds(n_max: int | None = None, k_max: int = 5) -> list[VerifyRow]:
     """Forcing-minimum bounds over permutation patterns, with extremal classification."""
     rows = []
     for k in range(2, min(k_max, 4) + 1):
@@ -186,7 +197,7 @@ def suite_perm_bounds(k_max: int = 5) -> list[VerifyRow]:
     return rows
 
 
-def suite_2x2(n_max: int = 6) -> list[VerifyRow]:
+def suite_2x2(n_max: int = 6, k_max: int | None = None) -> list[VerifyRow]:
     """Maximum ones for the 2x2 permutation patterns, value and uniqueness."""
     rows = []
     for n in (2, 3, 4):
@@ -214,7 +225,7 @@ def suite_2x2(n_max: int = 6) -> list[VerifyRow]:
     return rows
 
 
-def suite_3x3(n_max: int = 5, construction_n_max: int = 12) -> list[VerifyRow]:
+def suite_3x3(n_max: int = 5, k_max: int | None = None) -> list[VerifyRow]:
     """Maximum ones n^2-3n+3 for all six 3x3 permutation patterns."""
     rows = []
     for p in all_permutation_matrices(3):
@@ -232,7 +243,7 @@ def suite_3x3(n_max: int = 5, construction_n_max: int = 12) -> list[VerifyRow]:
                 f"exact {n * n - 3 * n + 3}",
                 f"{out.status} {out.best_ones}", started,
             ))
-    for n in range(3, construction_n_max + 1):
+    for n in range(3, CONSTRUCTION_N_MAX + 1):
         started = time.monotonic()
         s_n = extremal_123_witness(n)
         ok = (s_n.ones_count() == upper_bound_3x3(n)
@@ -256,22 +267,22 @@ def suite_3x3(n_max: int = 5, construction_n_max: int = 12) -> list[VerifyRow]:
     return rows
 
 
-def suite_dihedral(n: int = 4) -> list[VerifyRow]:
-    """Symmetry transfer: equal maxima and mapped witness sets inside each class."""
+def suite_dihedral(n_max: int = 4, k_max: int | None = None) -> list[VerifyRow]:
+    """Symmetry transfer at order n_max: equal maxima and mapped witness sets per class."""
     rows = []
     classes = ((named("i3"), named("h3")),
                (named("b3"), named("c3"), named("d3"), named("e3")))
     for members in classes:
         outcomes = {}
         for p in members:
-            outcomes[p] = search_max(n, p, SearchConfig(enumerate_all_extremal=True))
+            outcomes[p] = search_max(n_max, p, SearchConfig(enumerate_all_extremal=True))
         words = [
             "".join(str(i + 1) for i in permutation_of(p)) for p in members
         ]
         started = time.monotonic()
         values = {out.best_ones for out in outcomes.values()}
         rows.append(_row(
-            "dihedral-equal-maxima", "class={" + ",".join(words) + "}," + f"n={n}",
+            "dihedral-equal-maxima", "class={" + ",".join(words) + "}," + f"n={n_max}",
             "one shared maximum",
             f"maxima {sorted(values)}", started,
             status=PASS if len(values) == 1 else FAIL,
@@ -280,7 +291,7 @@ def suite_dihedral(n: int = 4) -> list[VerifyRow]:
         transfers = 0
         failures = 0
         for p in members:
-            for seq in _SQUARE_OPS:
+            for seq in symmetry_ops(p):
                 image = apply_symmetry(p, seq)
                 if image not in outcomes:
                     continue
@@ -290,7 +301,7 @@ def suite_dihedral(n: int = 4) -> list[VerifyRow]:
                 if mapped != target:
                     failures += 1
         rows.append(_row(
-            "dihedral-witness-transfer", "class={" + ",".join(words) + "}," + f"n={n}",
+            "dihedral-witness-transfer", "class={" + ",".join(words) + "}," + f"n={n_max}",
             f"{transfers}/{transfers} witness sets map exactly",
             f"{transfers - failures}/{transfers} witness sets map exactly", started,
         ))
@@ -327,8 +338,7 @@ def conjecture_table(n_max: int, k_max: int) -> dict[tuple[int, int], int]:
     return table
 
 
-def suite_conjecture(n_max: int = 12, k_max: int = 6,
-                     search_node_budget: int = 8_000_000) -> list[VerifyRow]:
+def suite_conjecture(n_max: int = 12, k_max: int = 6) -> list[VerifyRow]:
     """Evidence table for the conjectured identity maxima.
 
     Each (n, k) row reports the construction and recurrence lower bounds and
@@ -349,8 +359,8 @@ def suite_conjecture(n_max: int = 12, k_max: int = 6,
             ub = upper_bound_simple(n, k)
             bounds_ok = built_ok and conj <= ub and (rec is None or rec <= ub)
             exact = exact_max_identity(n, k)
-            if exact is None and n * n <= 36:
-                out = search_max(n, identity(k), SearchConfig(node_budget=search_node_budget))
+            if exact is None and n * n <= CONJECTURE_SEARCH_MAX_AREA:
+                out = search_max(n, identity(k), SearchConfig(node_budget=CONJECTURE_NODE_BUDGET))
                 if out.status == "exact":
                     exact = out.best_ones
             lo = max(conj, rec or 0)
@@ -381,22 +391,8 @@ SUITES: dict[str, Callable[..., list[VerifyRow]]] = {
 
 
 def run_suite(name: str, n_max: int | None = None, k_max: int | None = None) -> list[VerifyRow]:
-    """Dispatch a named suite, passing only the limits it understands."""
+    """Run a named suite; a limit left as None keeps the suite's default."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}, expected one of {sorted(SUITES)}")
-    if name in ("lemma21", "formulas"):
-        return SUITES[name](n_max) if n_max is not None else SUITES[name]()
-    if name == "perm-bounds":
-        return suite_perm_bounds(k_max) if k_max is not None else suite_perm_bounds()
-    if name == "2x2":
-        return suite_2x2(n_max) if n_max is not None else suite_2x2()
-    if name == "3x3":
-        return suite_3x3(n_max) if n_max is not None else suite_3x3()
-    if name == "dihedral":
-        return suite_dihedral(n_max) if n_max is not None else suite_dihedral()
-    kwargs = {}
-    if n_max is not None:
-        kwargs["n_max"] = n_max
-    if k_max is not None:
-        kwargs["k_max"] = k_max
-    return suite_conjecture(**kwargs)
+    limits = {"n_max": n_max, "k_max": k_max}
+    return SUITES[name](**{key: value for key, value in limits.items() if value is not None})

@@ -16,6 +16,7 @@ from mforce import (
     serialize,
 )
 from mforce.cli import load_pattern, main
+from mforce.verification import SUITES, run_suite
 
 
 def run_cli(capsys, *argv):
@@ -254,12 +255,6 @@ class TestSearch:
         assert plain_code == 0
         assert json.loads(out)["witnesses"] == json.loads(plain_out)["witnesses"]
 
-    def test_invalid_thread_cap_exits_2(self, capsys, monkeypatch):
-        monkeypatch.setenv("MFORCE_THREADS", "many")
-        code, _, err = run_cli(capsys, "search", "--n", "3", "--pattern", "i2")
-        assert code == 2
-        assert "MFORCE_THREADS" in err
-
 
 class TestVerify:
     def test_csv_schema_and_pass(self, capsys):
@@ -291,6 +286,24 @@ class TestVerify:
         statuses = {row[4] for row in rows}
         assert "fail" not in statuses
         assert "open" in statuses
+
+    @pytest.mark.slow
+    def test_all_concatenates_every_suite_in_name_order(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--suite", "all",
+                               "--n-max", "4", "--k-max", "3")
+        assert code == 0
+        got = [row[:5] for row in list(csv.reader(io.StringIO(out)))[1:]]
+        want = []
+        for name in sorted(SUITES):
+            rows = [[row.theorem_id, row.instance, row.expected, row.actual, row.status]
+                    for row in run_suite(name, n_max=4, k_max=3)]
+            assert rows, f"suite {name} contributed no rows"
+            want += rows
+        assert got == want
+
+    def test_suite_table_holds_exactly_the_seven_suites(self):
+        assert set(SUITES) == {"lemma21", "formulas", "perm-bounds", "2x2",
+                               "3x3", "dihedral", "conjecture"}
 
     def test_unknown_suite_is_an_argparse_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

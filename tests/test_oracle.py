@@ -15,6 +15,7 @@ from mforce import (
     oracle_max_strong,
     oracle_minimal_forcing,
     parse,
+    serialize,
 )
 
 
@@ -78,8 +79,10 @@ class TestMaxStrongSweep:
         assert level == [identity(3)]
 
     def test_level_is_sorted_and_deduplicated(self):
-        _, level = oracle_max_strong(3, identity(3))
-        keys = [m.bits for m in level]
+        # Text order and packed-bit order disagree on this level set.
+        _, level = oracle_max_strong(3, parse("100\n010\n"))
+        assert len(level) == 2
+        keys = [serialize(m) for m in level]
         assert keys == sorted(keys)
         assert len(set(level)) == len(level)
 

@@ -22,10 +22,13 @@ from mforce import (
 )
 
 
-def all_nonzero_2x2():
-    for bits in itertools.product(range(4), repeat=2):
-        if any(bits):
-            yield BitMatrix(2, 2, bits)
+def all_nonzero_patterns(max_side):
+    """Every nonzero pattern with at most max_side rows and columns."""
+    for s in range(1, max_side + 1):
+        for t in range(1, max_side + 1):
+            for bits in itertools.product(range(1 << t), repeat=s):
+                if any(bits):
+                    yield BitMatrix(s, t, bits)
 
 
 class TestExactValues:
@@ -53,7 +56,8 @@ class TestExactValues:
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_agrees_with_sweep_on_2x2_patterns(self, n):
-        for q in all_nonzero_2x2():
+        # At n = 3 this covers all 673 nonzero patterns up to 3x3.
+        for q in all_nonzero_patterns(n):
             want_best, want_level = oracle_max_strong(n, q)
             out = search_max(n, q, SearchConfig(enumerate_all_extremal=True))
             assert out.status == "exact"

@@ -27,7 +27,6 @@ from mforce import (
     oracle_is_strongly_forcing,
     parse,
     recurrence_lower_bound,
-    thread_cap,
     upper_bound_3x3,
     upper_bound_simple,
 )
@@ -305,20 +304,3 @@ class TestDihedral:
     def test_apply_symmetry_rejects_unknown_generator(self):
         with pytest.raises(ValueError):
             apply_symmetry(identity(2), ("r",))
-
-
-class TestThreadCap:
-    def test_default_is_one(self, monkeypatch):
-        monkeypatch.delenv("MFORCE_THREADS", raising=False)
-        assert thread_cap() == 1
-
-    def test_reads_environment(self, monkeypatch):
-        monkeypatch.setenv("MFORCE_THREADS", "4")
-        assert thread_cap() == 4
-        monkeypatch.setenv("MFORCE_THREADS", "0")
-        assert thread_cap() == 1
-
-    def test_rejects_garbage(self, monkeypatch):
-        monkeypatch.setenv("MFORCE_THREADS", "lots")
-        with pytest.raises(ValueError):
-            thread_cap()
