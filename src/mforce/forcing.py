@@ -316,10 +316,7 @@ def min_ones(m: int, n: int, pattern: BitMatrix) -> MinOnesResult:
     borders = core(pattern)
     s_core, t_core = borders.core.rows, borders.core.cols
     if m - (s - s_core) >= 2 * s_core and n - (t - t_core) >= 2 * t_core:
-        value = min_ones_core(m, n, pattern)
-        if m >= 2 * s and n >= 2 * t:
-            assert value == min_ones_general(m, n, pattern)
-        return MinOnesResult(value, "core-formula")
+        return MinOnesResult(min_ones_core(m, n, pattern), "core-formula")
     return MinOnesResult(minimal_forcing(m, n, pattern).ones_count(), "window-popcount")
 
 

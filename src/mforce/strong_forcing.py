@@ -9,10 +9,10 @@ levels with a zero-placement DFS, so the first feasible level is exact.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import time
 from dataclasses import dataclass, replace
+from itertools import combinations
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -454,8 +454,6 @@ def _baseline_witness(n: int, pattern: BitMatrix) -> BitMatrix:
     image of the base witness strongly forces the pattern.
     """
     candidates = [make(n, n, 0), linear_zero_construction(n, n, pattern)]
-    if pattern == make(1, 1, 1):
-        candidates.append(make(n, n, 1))
     k = pattern.rows
     bases: list[tuple[BitMatrix, BitMatrix]] = []
     if pattern.rows == pattern.cols and is_permutation_matrix(pattern) and n >= k >= 2:
@@ -488,8 +486,9 @@ def search_max(n: int, pattern: BitMatrix, config: SearchConfig | None = None,
     descent and provide the reported result when a budget runs out.
 
     With enumerate_all_extremal the whole maximum level set is collected;
-    witnesses are always sorted by text form. nodes_explored counts row
-    placement attempts.
+    witnesses are always sorted by text form. nodes_explored counts every
+    candidate row zero mask tried, including those the row anchor test
+    rejects; it is deterministic.
     """
     config = config or SearchConfig()
     s, t = pattern.rows, pattern.cols
@@ -533,86 +532,72 @@ def _descend(n: int, pattern: BitMatrix, config: SearchConfig) -> SearchOutcome:
 
     reqs = _row_anchor_requirements(pattern)
     full = (1 << n) - 1
-    buckets: list[list[int]] = [[] for _ in range(n + 1)]
-    for mask in range(1 << n):
-        buckets[mask.bit_count()].append(mask)
-    admissible: dict[tuple[int, int], bool] = {}
-
     q_ones = list(pattern.iter_ones())
     qbits, s, t = pattern.bits, pattern.rows, pattern.cols
+
+    # Candidate zero masks per row class and zero count, in increasing mask
+    # order, each flagged by the row anchor test; built on first use. The
+    # class (min(i, s), min(n-1-i, s)) fixes the test, since no anchor needs
+    # s or more rows on either side.
+    candidate_lists: dict[tuple[int, int, int], list[tuple[int, bool]]] = {}
+
+    def candidates(i: int, z: int) -> list[tuple[int, bool]]:
+        key = (min(i, s), min(n - 1 - i, s), z)
+        got = candidate_lists.get(key)
+        if got is None:
+            masks = sorted(sum(1 << c for c in cols) for cols in combinations(range(n), z))
+            got = candidate_lists[key] = [
+                (zmask, zmask == full or _row_mask_admissible(full & ~zmask, i, n, reqs))
+                for zmask in masks
+            ]
+        return got
 
     nodes = 0
     found: list[BitMatrix] = []
 
     def level(target: int) -> bool:
-        nonlocal nodes
         zeros_total = n * n - target
         if zeros_total < n * zr or zeros_total < n * zc:
             return False
-        col_zeros = [0] * n
-        col_ones = 0
         chosen = [0] * n
 
-        def place(i: int, zeros_left: int) -> bool:
-            nonlocal nodes, col_ones
+        def place(i: int, zeros_left: int, col_ones: int, reached: tuple[int, ...]) -> bool:
+            # reached[j] holds the columns with more than j zeros so far; a
+            # column with a 1 needs zc zeros, i.e. membership in reached[zc-1].
+            nonlocal nodes
             if i == n:
-                for c in range(n):
-                    if (col_ones >> c) & 1 and col_zeros[c] < zc:
-                        return False
                 abits = tuple(full & ~z for z in chosen)
                 if _strongly_forcing_rows(abits, n, n, qbits, s, t, q_ones):
                     found.append(BitMatrix(n, n, abits))
                     return not config.enumerate_all_extremal
                 return False
             rows_after = n - i - 1
+            # Columns outside reached[last] can no longer reach zc zeros.
+            last = zc - 1 - rows_after
+            below = (full,) + reached[:-1]
             z_lo = max(zr, zeros_left - rows_after * n)
             z_hi = min(n, zeros_left - rows_after * zr)
             for z in range(z_lo, z_hi + 1):
-                for zmask in buckets[z]:
+                for zmask, admissible in candidates(i, z):
                     nodes += 1
                     if config.node_budget is not None and nodes > config.node_budget:
                         raise _BudgetExhausted
                     if deadline is not None and nodes % 1024 == 0 and time.monotonic() > deadline:
                         raise _BudgetExhausted
-                    ones_mask = full & ~zmask
-                    if ones_mask:
-                        key = (min(i, s) * (n + 1) + min(n - 1 - i, s), ones_mask)
-                        ok = admissible.get(key)
-                        if ok is None:
-                            ok = _row_mask_admissible(ones_mask, i, n, reqs)
-                            admissible[key] = ok
-                        if not ok:
-                            continue
-                    saved_ones = col_ones
-                    col_ones |= ones_mask
-                    rest = zmask
-                    while rest:
-                        low = rest & -rest
-                        rest ^= low
-                        col_zeros[low.bit_length() - 1] += 1
-                    deficit = 0
-                    feasible = True
-                    for c in range(n):
-                        if (col_ones >> c) & 1:
-                            need = zc - col_zeros[c]
-                            if need > 0:
-                                if need > rows_after:
-                                    feasible = False
-                                    break
-                                deficit += need
-                    if feasible and deficit <= zeros_left - z:
+                    if not admissible:
+                        continue
+                    ones = col_ones | (full ^ zmask)
+                    nxt = tuple([r | (b & zmask) for b, r in zip(below, reached)])
+                    if last >= 0 and ones & ~nxt[last]:
+                        continue
+                    deficit = sum([(ones & ~r).bit_count() for r in nxt])
+                    if deficit <= zeros_left - z:
                         chosen[i] = zmask
-                        if place(i + 1, zeros_left - z):
+                        if place(i + 1, zeros_left - z, ones, nxt):
                             return True
-                    rest = zmask
-                    while rest:
-                        low = rest & -rest
-                        rest ^= low
-                        col_zeros[low.bit_length() - 1] -= 1
-                    col_ones = saved_ones
             return False
 
-        place(0, zeros_total)
+        place(0, zeros_total, 0, (0,) * zc)
         return bool(found)
 
     try:
@@ -641,9 +626,9 @@ def _descend(n: int, pattern: BitMatrix, config: SearchConfig) -> SearchOutcome:
 class ResultsCache:
     """JSON-backed store of exact search outcomes, keyed by order and pattern.
 
-    Identity patterns use the readable key "n,k"; anything else hashes its
-    text form. Only exact outcomes are stored; entries remember whether they
-    hold the complete extremal level set.
+    The key is the order, a colon, then the pattern rows as 0/1 text joined
+    by "/", e.g. "6:1000/0100/0010/0001". Only exact outcomes are stored;
+    entries remember whether they hold the complete extremal level set.
     """
 
     def __init__(self, path: str | Path):
@@ -654,10 +639,7 @@ class ResultsCache:
 
     @staticmethod
     def key(n: int, pattern: BitMatrix) -> str:
-        if pattern.rows == pattern.cols and pattern == identity(pattern.rows):
-            return f"{n},{pattern.rows}"
-        digest = hashlib.sha256(serialize(pattern).encode()).hexdigest()
-        return f"{n},{digest}"
+        return f"{n}:" + str(pattern).replace("\n", "/")
 
     def get(self, n: int, pattern: BitMatrix, need_all_extremal: bool = False) -> SearchOutcome | None:
         entry = self.entries.get(self.key(n, pattern))

@@ -231,7 +231,7 @@ class TestSearch:
         assert code == 0
         assert cache.exists()
         stored = json.loads(cache.read_text())
-        assert list(stored) == ["4,3"]
+        assert list(stored) == ["4:100/010/001"]
 
         code, second_out, _ = run_cli(capsys, "search", "--n", "4", "--pattern", "i3",
                                       "--cache", str(cache))
@@ -300,6 +300,13 @@ class TestVerify:
             assert rows, f"suite {name} contributed no rows"
             want += rows
         assert got == want
+
+    def test_oracle_sweeps_respect_n_max(self):
+        rows_3x3 = run_suite("3x3", n_max=3)
+        assert not any(row.theorem_id == "max-strong-3x3-sweep" for row in rows_3x3)
+        swept = [row.instance for row in run_suite("2x2", n_max=3)
+                 if row.theorem_id == "max-strong-2x2-sweep"]
+        assert swept == ["n=2,pattern=i2", "n=3,pattern=i2"]
 
     def test_suite_table_holds_exactly_the_seven_suites(self):
         assert set(SUITES) == {"lemma21", "formulas", "perm-bounds", "2x2",

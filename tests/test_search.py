@@ -105,6 +105,23 @@ class TestWitnessDiscipline:
         assert first.nodes_explored == second.nodes_explored
 
 
+class TestSearchTree:
+    # Exact node counts pin the DFS tree, its order and its budget cut
+    # points; a kernel change that alters any of them fails here.
+    @pytest.mark.parametrize("n, name, config, status, nodes", [
+        (4, "i3", SearchConfig(), "exact", 104),
+        (4, "b3", SearchConfig(enumerate_all_extremal=True), "exact", 420),
+        (5, "i3", SearchConfig(), "exact", 14_425),
+        (5, "i3", SearchConfig(enumerate_all_extremal=True), "exact", 53_120),
+        (5, "i4", SearchConfig(), "exact", 1_815),
+        (6, "i5", SearchConfig(), "exact", 26_123),
+        (5, "i3", SearchConfig(node_budget=1000), "budget_exhausted", 1_001),
+    ])
+    def test_nodes_explored(self, n, name, config, status, nodes):
+        out = search_max(n, named(name), config)
+        assert (out.status, out.nodes_explored) == (status, nodes)
+
+
 class TestBudgets:
     def test_node_budget_returns_construction_floor(self):
         out = search_max(5, identity(3), SearchConfig(node_budget=1))
@@ -176,13 +193,10 @@ class TestResultsCache:
         assert self.payload(got) == self.payload(full)
 
     def test_key_forms(self):
-        assert ResultsCache.key(6, identity(4)) == "6,4"
-        other = ResultsCache.key(6, named("b3"))
-        n, digest = other.split(",")
-        assert n == "6"
-        assert len(digest) == 64
-        assert ResultsCache.key(6, named("b3")) == other
-        assert ResultsCache.key(6, named("c3")) != other
+        assert ResultsCache.key(6, identity(4)) == "6:1000/0100/0010/0001"
+        assert ResultsCache.key(5, parse("2 3\n110\n001\n")) == "5:110/001"
+        assert ResultsCache.key(6, named("b3")) != ResultsCache.key(6, named("c3"))
+        assert ResultsCache.key(6, identity(2)) != ResultsCache.key(5, identity(2))
 
     def test_budget_outcomes_are_not_cached(self, tmp_path):
         cache = ResultsCache(tmp_path / "results.json")
