@@ -22,7 +22,6 @@ from .bitmatrix import (
 from .patterns import is_permutation_matrix, permutation_matrix
 
 STATUS_EXACT = "exact"
-STATUS_LOWER_BOUND = "lower_bound_only"
 STATUS_BUDGET = "budget_exhausted"
 
 
@@ -95,8 +94,6 @@ def _witness_through(abits, m: int, n: int, qbits, s: int, t: int,
             if i == s:
                 return _transversal(masks)
             if i == y:
-                if prev >= r:
-                    return None
                 return assign(i + 1, r, masks)
             hi = r - (y - i) if i < y else m - (s - i)
             qrow_i = qbits[i]
@@ -508,7 +505,6 @@ def search_max(n: int, pattern: BitMatrix, config: SearchConfig | None = None,
                 (apply_symmetry(w, inv) for w in base.witnesses), key=serialize
             ))
             return replace(base, witnesses=mapped)
-        config = replace(config, use_dihedral_reduction=False)
 
     if cache is not None:
         hit = cache.get(n, pattern, need_all_extremal=config.enumerate_all_extremal)
@@ -609,11 +605,9 @@ def _descend(n: int, pattern: BitMatrix, config: SearchConfig) -> SearchOutcome:
                 )
         raise AssertionError("descent passed the construction floor without a witness")
     except _BudgetExhausted:
-        if found:
-            best = max(w.ones_count() for w in found)
-            witnesses = tuple(sorted(
-                (w for w in found if w.ones_count() == best), key=serialize
-            ))
+        if found:  # found only ever holds the level being searched
+            best = found[0].ones_count()
+            witnesses = tuple(sorted(found, key=serialize))
         else:
             best = floor
             witnesses = (baseline,)

@@ -2,21 +2,24 @@
 
 Each suite replays one family of claims (formula agreement, extremal values,
 symmetry transfer, bound consistency) against independent recomputation and
-returns tabular rows. Suites aggregate instances into one row per checked
-statement so tables stay readable at CLI scale.
+yields one (theorem_id, instance, expected, actual) claim per checked
+statement, so tables stay readable at CLI scale.
 
 Every suite takes the same keywords, n_max (ambient order) and k_max
 (pattern order), each with the suite's own default; a suite whose instances
 do not vary in one of them ignores it. run_suite is the single entry point,
-used by `mforce verify`.
+used by `mforce verify`, and the only place that turns claims into rows: it
+grades each claim and stamps its millis with the suite's work since the
+previous row, so setup a suite does before its first claim (the dihedral
+searches, the conjecture table) counts toward the row after it.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import product
-from typing import Callable
+from typing import Callable, Iterator
 
 from .bitmatrix import BitMatrix, hankel, identity, serialize
 from .forcing import (
@@ -70,24 +73,12 @@ class VerifyRow:
     millis: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "theorem_id": self.theorem_id,
-            "instance": self.instance,
-            "expected": self.expected,
-            "actual": self.actual,
-            "status": self.status,
-            "millis": self.millis,
-        }
+        return asdict(self)
 
 
-def _row(theorem_id: str, instance: str, expected: str, actual: str,
-         started: float, status: str | None = None) -> VerifyRow:
-    if status is None:
-        status = PASS if expected == actual else FAIL
-    return VerifyRow(
-        theorem_id, instance, expected, actual, status,
-        int((time.monotonic() - started) * 1000),
-    )
+# What a suite yields: (theorem_id, instance, expected, actual), plus a status
+# only where the claim is not graded by expected == actual.
+Claim = tuple[str, ...]
 
 
 def _small_patterns(max_rows: int = 3, max_cols: int = 3) -> list[BitMatrix]:
@@ -101,66 +92,55 @@ def _small_patterns(max_rows: int = 3, max_cols: int = 3) -> list[BitMatrix]:
     return pats
 
 
-def suite_lemma21(n_max: int = 7, k_max: int | None = None) -> list[VerifyRow]:
-    """Window construction equals the all-placements oracle, all patterns <= 3x3."""
-    rows = []
+def _agreement(theorem_id: str, n_max: int,
+               applies: Callable[[int, int, BitMatrix], bool],
+               agrees: Callable[[int, int, BitMatrix], bool]) -> Iterator[Claim]:
+    """One claim per m x n (4 <= m, n <= n_max): agrees holds for every pattern <= 3x3 it applies to."""
     pats = _small_patterns()
     for m in range(4, n_max + 1):
         for n in range(4, n_max + 1):
-            started = time.monotonic()
-            agree = 0
+            checked = agree = 0
             first_bad = ""
             for q in pats:
-                if minimal_forcing(m, n, q) == oracle_minimal_forcing(m, n, q):
-                    agree += 1
-                elif not first_bad:
-                    first_bad = f" first disagreement {q.rows}x{q.cols}:{q.bits}"
-            rows.append(_row(
-                "window-equals-oracle", f"m={m},n={n}",
-                f"{len(pats)}/{len(pats)} agree",
-                f"{agree}/{len(pats)} agree{first_bad}", started,
-            ))
-    return rows
-
-
-def suite_formulas(n_max: int = 7, k_max: int | None = None) -> list[VerifyRow]:
-    """Closed-form minimum counts match the window construction wherever they apply."""
-    rows = []
-    pats = _small_patterns()
-    for m in range(4, n_max + 1):
-        for n in range(4, n_max + 1):
-            started = time.monotonic()
-            checked = 0
-            agree = 0
-            first_bad = ""
-            for q in pats:
-                s, t = q.rows, q.cols
-                if m < 2 * s or n < 2 * t:
+                if not applies(m, n, q):
                     continue
-                truth = minimal_forcing(m, n, q).ones_count()
-                values = [min_ones_general(m, n, q), min_ones_core(m, n, q),
-                          min_ones(m, n, q).value]
-                if core(q).core == q:
-                    values.append(min_ones_boundary(m, n, q))
                 checked += 1
-                if all(v == truth for v in values):
+                if agrees(m, n, q):
                     agree += 1
                 elif not first_bad:
                     first_bad = f" first disagreement {q.rows}x{q.cols}:{q.bits}"
-            rows.append(_row(
-                "closed-forms-match-window", f"m={m},n={n}",
-                f"{checked}/{checked} agree",
-                f"{agree}/{checked} agree{first_bad}", started,
-            ))
-    return rows
+            yield (theorem_id, f"m={m},n={n}", f"{checked}/{checked} agree",
+                   f"{agree}/{checked} agree{first_bad}")
 
 
-def suite_perm_bounds(n_max: int | None = None, k_max: int = 5) -> list[VerifyRow]:
+def suite_lemma21(n_max: int = 7, k_max: int | None = None) -> Iterator[Claim]:
+    """Window construction equals the all-placements oracle, all patterns <= 3x3."""
+    return _agreement(
+        "window-equals-oracle", n_max, lambda m, n, q: True,
+        lambda m, n, q: minimal_forcing(m, n, q) == oracle_minimal_forcing(m, n, q),
+    )
+
+
+def _closed_forms_agree(m: int, n: int, q: BitMatrix) -> bool:
+    truth = minimal_forcing(m, n, q).ones_count()
+    values = [min_ones_general(m, n, q), min_ones_core(m, n, q), min_ones(m, n, q).value]
+    if core(q).core == q:
+        values.append(min_ones_boundary(m, n, q))
+    return all(v == truth for v in values)
+
+
+def suite_formulas(n_max: int = 7, k_max: int | None = None) -> Iterator[Claim]:
+    """Closed-form minimum counts match the window construction wherever they apply."""
+    return _agreement(
+        "closed-forms-match-window", n_max,
+        lambda m, n, q: m >= 2 * q.rows and n >= 2 * q.cols, _closed_forms_agree,
+    )
+
+
+def suite_perm_bounds(n_max: int | None = None, k_max: int = 5) -> Iterator[Claim]:
     """Forcing-minimum bounds over permutation patterns, with extremal classification."""
-    rows = []
     for k in range(2, min(k_max, 4) + 1):
         n = 2 * k
-        started = time.monotonic()
         bound = perm_min_bound(n, k)
         ok = True
         attained = []
@@ -177,10 +157,9 @@ def suite_perm_bounds(n_max: int | None = None, k_max: int = 5) -> list[VerifyRo
                 attained.append(p)
         expected = f"min {bound} attained by exactly {{identity, anti-identity}}"
         actual = expected if ok and len(attained) == 2 else f"violations:{detail or ' count ' + str(len(attained))}"
-        rows.append(_row("perm-min-bound", f"k={k},n={n}", expected, actual, started))
+        yield "perm-min-bound", f"k={k},n={n}", expected, actual
     for k in range(1, k_max + 1):
         n = 2 * k + 2
-        started = time.monotonic()
         formula = perm_max_m(n, k)
         best = max(min_ones(n, n, p).value for p in all_permutation_matrices(k))
         classified = True
@@ -193,84 +172,54 @@ def suite_perm_bounds(n_max: int | None = None, k_max: int = 5) -> list[VerifyRo
         actual = f"max {best}" + (
             (", quadruple classification" if classified else ", misclassified") if k >= 4 else ""
         )
-        rows.append(_row("perm-min-maximum", f"k={k},n={n}", expected, actual, started))
-    return rows
+        yield "perm-min-maximum", f"k={k},n={n}", expected, actual
 
 
-def suite_2x2(n_max: int = 6, k_max: int | None = None) -> list[VerifyRow]:
+def suite_2x2(n_max: int = 6, k_max: int | None = None) -> Iterator[Claim]:
     """Maximum ones for the 2x2 permutation patterns, value and uniqueness."""
-    rows = []
     for n in range(2, min(n_max, 4) + 1):  # the oracle sweeps stop at n = 4
-        started = time.monotonic()
         best, level = oracle_max_strong(n, identity(2))
         unique = len(level) == 1 and level[0] == extremal_2x2(n, "i2")
-        rows.append(_row(
+        yield (
             "max-strong-2x2-sweep", f"n={n},pattern=i2",
             f"{n * n - n}, unique complement of anti-identity",
             f"{best}, {'unique complement of anti-identity' if unique else 'level size ' + str(len(level))}",
-            started,
-        ))
+        )
     for variant, pat in (("i2", identity(2)), ("h2", hankel(2))):
         for n in range(2, n_max + 1):
-            started = time.monotonic()
             out = search_max(n, pat, SearchConfig(enumerate_all_extremal=True))
             unique = (len(out.witnesses) == 1
                       and out.witnesses[0] == extremal_2x2(n, variant))
-            rows.append(_row(
+            yield (
                 "max-strong-2x2-search", f"n={n},pattern={variant}",
                 f"exact {n * n - n}, unique",
                 f"{out.status} {out.best_ones}, {'unique' if unique else str(len(out.witnesses)) + ' witnesses'}",
-                started,
-            ))
-    return rows
+            )
 
 
-def suite_3x3(n_max: int = 5, k_max: int | None = None) -> list[VerifyRow]:
+def suite_3x3(n_max: int = 5, k_max: int | None = None) -> Iterator[Claim]:
     """Maximum ones n^2-3n+3 for all six 3x3 permutation patterns."""
-    rows = []
     for p in all_permutation_matrices(3):
         word = "".join(str(i + 1) for i in permutation_of(p))
         if n_max >= 4:
-            started = time.monotonic()
             o4, _ = oracle_max_strong(4, p)
-            rows.append(_row(
-                "max-strong-3x3-sweep", f"n=4,pattern={word}", "7", str(o4), started,
-            ))
+            yield "max-strong-3x3-sweep", f"n=4,pattern={word}", "7", str(o4)
         for n in range(4, n_max + 1):
-            started = time.monotonic()
             out = search_max(n, p)
-            rows.append(_row(
-                "max-strong-3x3-search", f"n={n},pattern={word}",
-                f"exact {n * n - 3 * n + 3}",
-                f"{out.status} {out.best_ones}", started,
-            ))
+            yield ("max-strong-3x3-search", f"n={n},pattern={word}",
+                   f"exact {n * n - 3 * n + 3}", f"{out.status} {out.best_ones}")
+    constructions = (("construction-123", extremal_123_witness, identity(3)),
+                     ("construction-132", extremal_132_witness, named("b3")))
     for n in range(3, CONSTRUCTION_N_MAX + 1):
-        started = time.monotonic()
-        s_n = extremal_123_witness(n)
-        ok = (s_n.ones_count() == upper_bound_3x3(n)
-              and is_strongly_forcing(s_n, identity(3)))
-        rows.append(_row(
-            "construction-123", f"n={n}",
-            f"{upper_bound_3x3(n)} ones, strongly forcing",
-            f"{s_n.ones_count()} ones, {'strongly forcing' if ok else 'NOT strongly forcing'}",
-            started,
-        ))
-        started = time.monotonic()
-        t_n = extremal_132_witness(n)
-        ok = (t_n.ones_count() == upper_bound_3x3(n)
-              and is_strongly_forcing(t_n, named("b3")))
-        rows.append(_row(
-            "construction-132", f"n={n}",
-            f"{upper_bound_3x3(n)} ones, strongly forcing",
-            f"{t_n.ones_count()} ones, {'strongly forcing' if ok else 'NOT strongly forcing'}",
-            started,
-        ))
-    return rows
+        for theorem_id, build, pattern in constructions:
+            witness = build(n)
+            forcing = "strongly forcing" if is_strongly_forcing(witness, pattern) else "NOT strongly forcing"
+            yield (theorem_id, f"n={n}", f"{upper_bound_3x3(n)} ones, strongly forcing",
+                   f"{witness.ones_count()} ones, {forcing}")
 
 
-def suite_dihedral(n_max: int = 4, k_max: int | None = None) -> list[VerifyRow]:
+def suite_dihedral(n_max: int = 4, k_max: int | None = None) -> Iterator[Claim]:
     """Symmetry transfer at order n_max: equal maxima and mapped witness sets per class."""
-    rows = []
     classes = ((named("i3"), named("h3")),
                (named("b3"), named("c3"), named("d3"), named("e3")))
     for members in classes:
@@ -280,15 +229,10 @@ def suite_dihedral(n_max: int = 4, k_max: int | None = None) -> list[VerifyRow]:
         words = [
             "".join(str(i + 1) for i in permutation_of(p)) for p in members
         ]
-        started = time.monotonic()
+        instance = "class={" + ",".join(words) + "}," + f"n={n_max}"
         values = {out.best_ones for out in outcomes.values()}
-        rows.append(_row(
-            "dihedral-equal-maxima", "class={" + ",".join(words) + "}," + f"n={n_max}",
-            "one shared maximum",
-            f"maxima {sorted(values)}", started,
-            status=PASS if len(values) == 1 else FAIL,
-        ))
-        started = time.monotonic()
+        yield ("dihedral-equal-maxima", instance, "one shared maximum",
+               f"maxima {sorted(values)}", PASS if len(values) == 1 else FAIL)
         transfers = 0
         failures = 0
         for p in members:
@@ -301,12 +245,9 @@ def suite_dihedral(n_max: int = 4, k_max: int | None = None) -> list[VerifyRow]:
                 transfers += 1
                 if mapped != target:
                     failures += 1
-        rows.append(_row(
-            "dihedral-witness-transfer", "class={" + ",".join(words) + "}," + f"n={n_max}",
-            f"{transfers}/{transfers} witness sets map exactly",
-            f"{transfers - failures}/{transfers} witness sets map exactly", started,
-        ))
-    return rows
+        yield ("dihedral-witness-transfer", instance,
+               f"{transfers}/{transfers} witness sets map exactly",
+               f"{transfers - failures}/{transfers} witness sets map exactly")
 
 
 def exact_max_identity(n: int, k: int) -> int | None:
@@ -347,11 +288,9 @@ def suite_conjecture(n_max: int = 12, k_max: int = 6) -> list[VerifyRow]:
     search finishes within its node budget. Rows without an exact value
     carry status "open": they are evidence, not verification.
     """
-    rows = []
     table = conjecture_table(n_max, k_max)
     for k in range(3, k_max + 1):
         for n in range(k, n_max + 1):
-            started = time.monotonic()
             conj = conjectured_max_identity(n, k)
             witness = extremal_identity_witness(n, k)
             built_ok = (witness.ones_count() == conj
@@ -364,23 +303,16 @@ def suite_conjecture(n_max: int = 12, k_max: int = 6) -> list[VerifyRow]:
                 out = search_max(n, identity(k), SearchConfig(node_budget=CONJECTURE_NODE_BUDGET))
                 if out.status == "exact":
                     exact = out.best_ones
-            lo = max(conj, rec or 0)
             if exact is not None:
-                expected = f"max {conj}"
                 actual = f"max {exact}" if bounds_ok else f"max {exact}, bound violation"
-                status = PASS if expected == actual else FAIL
+                yield "conjecture-identity-max", f"n={n},k={k}", f"max {conj}", actual
             else:
-                expected = f"conjectured {conj}"
-                actual = f"{lo} <= max <= {ub}"
-                status = OPEN if bounds_ok and lo <= ub else FAIL
-            rows.append(_row(
-                "conjecture-identity-max", f"n={n},k={k}", expected, actual,
-                started, status=status,
-            ))
-    return rows
+                lo = max(conj, rec or 0)
+                yield ("conjecture-identity-max", f"n={n},k={k}", f"conjectured {conj}",
+                       f"{lo} <= max <= {ub}", OPEN if bounds_ok and lo <= ub else FAIL)
 
 
-SUITES: dict[str, Callable[..., list[VerifyRow]]] = {
+SUITES: dict[str, Callable[..., Iterator[Claim]]] = {
     "lemma21": suite_lemma21,
     "formulas": suite_formulas,
     "perm-bounds": suite_perm_bounds,
@@ -392,8 +324,21 @@ SUITES: dict[str, Callable[..., list[VerifyRow]]] = {
 
 
 def run_suite(name: str, n_max: int | None = None, k_max: int | None = None) -> list[VerifyRow]:
-    """Run a named suite; a limit left as None keeps the suite's default."""
+    """Run a named suite; a limit left as None keeps the suite's default.
+
+    Each claim is graded pass/fail by expected == actual unless it carries
+    its own status, and its millis is the suite's work since the previous row.
+    """
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}, expected one of {sorted(SUITES)}")
     limits = {"n_max": n_max, "k_max": k_max}
-    return SUITES[name](**{key: value for key, value in limits.items() if value is not None})
+    claims = SUITES[name](**{key: value for key, value in limits.items() if value is not None})
+    rows = []
+    last = time.monotonic()
+    for theorem_id, instance, expected, actual, *given in claims:
+        now = time.monotonic()
+        status = given[0] if given else PASS if expected == actual else FAIL
+        rows.append(VerifyRow(theorem_id, instance, expected, actual, status,
+                              int((now - last) * 1000)))
+        last = now
+    return rows

@@ -196,9 +196,9 @@ class Test3x3PermutationMaxima:
             assert (five.status, five.best_ones) == ("exact", 13)
 
     @pytest.mark.slow
-    def test_order_4_sweep_confirms(self):
+    def test_order_4_sweep_confirms(self, order4_sweeps_3x3):
         for name in self.WORDS:
-            best, _ = oracle_max_strong(4, named(name))
+            best, _ = order4_sweeps_3x3[name]
             assert best == 7
 
 

@@ -300,6 +300,9 @@ class TestVerify:
             assert rows, f"suite {name} contributed no rows"
             want += rows
         assert got == want
+        # The same rows, less millis, as the pinned report in tests/data.
+        with open(DATA / "verify_all_n4_k3.csv", newline="") as pinned:
+            assert got == list(csv.reader(pinned))[1:]
 
     def test_oracle_sweeps_respect_n_max(self):
         rows_3x3 = run_suite("3x3", n_max=3)

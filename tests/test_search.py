@@ -3,6 +3,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mforce import (
     BitMatrix,
@@ -13,12 +15,15 @@ from mforce import (
     hankel,
     identity,
     is_strongly_forcing,
+    linear_zero_construction,
     make,
     named,
     oracle_max_strong,
     parse,
+    permutation_matrix,
     search_max,
     serialize,
+    upper_bound_simple,
 )
 
 
@@ -74,11 +79,9 @@ class TestExactValues:
             assert list(out.witnesses) == want_level
 
     @pytest.mark.slow
-    def test_agrees_with_sweep_on_3x3_permutations(self):
-        for name in ["i3", "h3", "b3", "c3", "d3", "e3"]:
-            q = named(name)
-            want_best, want_level = oracle_max_strong(4, q)
-            out = search_max(4, q, SearchConfig(enumerate_all_extremal=True))
+    def test_agrees_with_sweep_on_3x3_permutations(self, order4_sweeps_3x3):
+        for name, (want_best, want_level) in order4_sweeps_3x3.items():
+            out = search_max(4, named(name), SearchConfig(enumerate_all_extremal=True))
             assert out.best_ones == want_best
             assert list(out.witnesses) == want_level
 
@@ -103,6 +106,20 @@ class TestWitnessDiscipline:
             second.status, second.best_ones, second.witnesses,
         )
         assert first.nodes_explored == second.nodes_explored
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 3).flatmap(lambda k: st.tuples(
+        st.permutations(range(k)), st.integers(k, 5))))
+    def test_permutation_extremal_sets_verify_between_bounds(self, case):
+        images, n = case
+        p, k = permutation_matrix(images), len(images)
+        out = search_max(n, p, SearchConfig(enumerate_all_extremal=True))
+        assert out.status == "exact"
+        for w in out.witnesses:
+            assert is_strongly_forcing(w, p)
+            assert w.ones_count() == out.best_ones
+        floor = linear_zero_construction(n, n, p).ones_count()
+        assert floor <= out.best_ones <= upper_bound_simple(n, k)
 
 
 class TestSearchTree:
