@@ -3,13 +3,14 @@
 A matrix A is strongly Q-forcing when every 1-entry of A lies inside some
 submatrix of A that equals Q exactly. Where plain forcing asks for minimum
 ones, the natural extremal question here is the maximum: search_max computes
-max ones over strongly forcing square matrices by descending over target
-levels with a zero-placement DFS, so the first feasible level is exact.
+max ones over strongly forcing square matrices with one zero-placement DFS
+whose zero cap tightens at each verified matrix, so the last one is exact.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import time
 from dataclasses import dataclass, replace
 from itertools import combinations
@@ -475,12 +476,12 @@ def search_max(n: int, pattern: BitMatrix, config: SearchConfig | None = None,
                cache: "ResultsCache | None" = None) -> SearchOutcome:
     """Exact maximum ones over strongly forcing n x n matrices.
 
-    Iterates target ones counts downward from a necessary-condition upper
-    bound; each level runs a depth-first placement of the complementary
-    zeros, row by row, pruned by per-row anchor demands and per-column zero
-    deficits. The first level holding a verified matrix is the maximum, so
-    status "exact" certifies optimality. Construction lower bounds cap the
-    descent and provide the reported result when a budget runs out.
+    One depth-first placement of zeros, row by row, pruned by per-row
+    anchor demands and per-column zero deficits under a cap on the total
+    zeros. The cap starts at the construction floor and tightens at every
+    verified matrix, so the last level found is the maximum and status
+    "exact" certifies it. A budget cut returns the best verified matrix so
+    far, never below the construction floor.
 
     With enumerate_all_extremal the whole maximum level set is collected;
     witnesses are always sorted by text form. nodes_explored counts every
@@ -511,20 +512,18 @@ def search_max(n: int, pattern: BitMatrix, config: SearchConfig | None = None,
         if hit is not None:
             return hit
 
-    outcome = _descend(n, pattern, config)
+    outcome = _branch_and_bound(n, pattern, config)
     if cache is not None and outcome.status == STATUS_EXACT:
         cache.put(n, pattern, outcome, all_extremal=config.enumerate_all_extremal)
         cache.save()
     return outcome
 
 
-def _descend(n: int, pattern: BitMatrix, config: SearchConfig) -> SearchOutcome:
+def _branch_and_bound(n: int, pattern: BitMatrix, config: SearchConfig) -> SearchOutcome:
     start = time.monotonic()
     deadline = start + config.time_budget if config.time_budget is not None else None
     zr, zc = _min_zero_demand(pattern)
-    upper = n * n - n * max(zr, zc)
     baseline = _baseline_witness(n, pattern)
-    floor = baseline.ones_count()
 
     reqs = _row_anchor_requirements(pattern)
     full = (1 << n) - 1
@@ -550,68 +549,59 @@ def _descend(n: int, pattern: BitMatrix, config: SearchConfig) -> SearchOutcome:
 
     nodes = 0
     found: list[BitMatrix] = []
+    # Most zeros a recorded matrix may have: the construction floor's count,
+    # then each verified matrix's count (all-extremal) or one less.
+    cap = n * n - baseline.ones_count()
+    chosen = [0] * n
 
-    def level(target: int) -> bool:
-        zeros_total = n * n - target
-        if zeros_total < n * zr or zeros_total < n * zc:
-            return False
-        chosen = [0] * n
-
-        def place(i: int, zeros_left: int, col_ones: int, reached: tuple[int, ...]) -> bool:
-            # reached[j] holds the columns with more than j zeros so far; a
-            # column with a 1 needs zc zeros, i.e. membership in reached[zc-1].
-            nonlocal nodes
-            if i == n:
-                abits = tuple(full & ~z for z in chosen)
-                if _strongly_forcing_rows(abits, n, n, qbits, s, t, q_ones):
-                    found.append(BitMatrix(n, n, abits))
-                    return not config.enumerate_all_extremal
-                return False
-            rows_after = n - i - 1
-            # Columns outside reached[last] can no longer reach zc zeros.
-            last = zc - 1 - rows_after
-            below = (full,) + reached[:-1]
-            z_lo = max(zr, zeros_left - rows_after * n)
-            z_hi = min(n, zeros_left - rows_after * zr)
-            for z in range(z_lo, z_hi + 1):
-                for zmask, admissible in candidates(i, z):
-                    nodes += 1
-                    if config.node_budget is not None and nodes > config.node_budget:
-                        raise _BudgetExhausted
-                    if deadline is not None and nodes % 1024 == 0 and time.monotonic() > deadline:
-                        raise _BudgetExhausted
-                    if not admissible:
-                        continue
-                    ones = col_ones | (full ^ zmask)
-                    nxt = tuple([r | (b & zmask) for b, r in zip(below, reached)])
-                    if last >= 0 and ones & ~nxt[last]:
-                        continue
-                    deficit = sum([(ones & ~r).bit_count() for r in nxt])
-                    if deficit <= zeros_left - z:
-                        chosen[i] = zmask
-                        if place(i + 1, zeros_left - z, ones, nxt):
-                            return True
-            return False
-
-        place(0, zeros_total, 0, (0,) * zc)
-        return bool(found)
+    def place(i: int, used: int, col_ones: int, reached: tuple[int, ...]) -> None:
+        # reached[j] holds the columns with more than j zeros so far; a
+        # column with a 1 needs zc zeros, i.e. membership in reached[zc-1].
+        nonlocal nodes, cap
+        if i == n:
+            abits = tuple(full & ~z for z in chosen)
+            if _strongly_forcing_rows(abits, n, n, qbits, s, t, q_ones):
+                if used < cap or not config.enumerate_all_extremal:
+                    found.clear()
+                found.append(BitMatrix(n, n, abits))
+                cap = used if config.enumerate_all_extremal else used - 1
+            return
+        rows_after = n - i - 1
+        # Columns outside reached[last] can no longer reach zc zeros.
+        last = zc - 1 - rows_after
+        below = (full,) + reached[:-1]
+        z = zr
+        while z <= min(n, cap - used - rows_after * zr):
+            for zmask, admissible in candidates(i, z):
+                nodes += 1
+                if config.node_budget is not None and nodes > config.node_budget:
+                    raise _BudgetExhausted
+                if deadline is not None and nodes % 1024 == 0 and time.monotonic() > deadline:
+                    raise _BudgetExhausted
+                if not admissible:
+                    continue
+                ones = col_ones | (full ^ zmask)
+                nxt = tuple([r | (b & zmask) for b, r in zip(below, reached)])
+                if last >= 0 and ones & ~nxt[last]:
+                    continue
+                deficit = sum([(ones & ~r).bit_count() for r in nxt])
+                if deficit <= cap - used - z:
+                    chosen[i] = zmask
+                    place(i + 1, used + z, ones, nxt)
+                    if z > cap - used - rows_after * zr:
+                        return  # a verified leaf lowered the cap below z
+            z += 1
 
     try:
-        for target in range(upper, floor - 1, -1):
-            if level(target):
-                witnesses = tuple(sorted(found, key=serialize))
-                return SearchOutcome(
-                    STATUS_EXACT, target, witnesses, nodes, time.monotonic() - start
-                )
-        raise AssertionError("descent passed the construction floor without a witness")
+        place(0, 0, 0, (0,) * zc)
+        status = STATUS_EXACT
     except _BudgetExhausted:
-        if found:  # found only ever holds the level being searched
-            best = found[0].ones_count()
-            witnesses = tuple(sorted(found, key=serialize))
-        else:
-            best = floor
-            witnesses = (baseline,)
-        return SearchOutcome(STATUS_BUDGET, best, witnesses, nodes, time.monotonic() - start)
+        status = STATUS_BUDGET
+    if not found:  # only a budget cut leaves the floor level unsearched
+        found.append(baseline)
+    witnesses = tuple(sorted(found, key=serialize))
+    return SearchOutcome(status, witnesses[0].ones_count(), witnesses, nodes,
+                         time.monotonic() - start)
 
 
 # -- results cache ----------------------------------------------------------------
@@ -636,6 +626,8 @@ class ResultsCache:
         return f"{n}:" + str(pattern).replace("\n", "/")
 
     def get(self, n: int, pattern: BitMatrix, need_all_extremal: bool = False) -> SearchOutcome | None:
+        """The stored outcome, or None; elapsed is this lookup's own time."""
+        start = time.monotonic()
         entry = self.entries.get(self.key(n, pattern))
         if entry is None:
             return None
@@ -646,7 +638,7 @@ class ResultsCache:
             best_ones=entry["best_ones"],
             witnesses=tuple(parse(text) for text in entry["witnesses"]),
             nodes_explored=entry["nodes_explored"],
-            elapsed=entry["elapsed_ms"] / 1000.0,
+            elapsed=time.monotonic() - start,
         )
 
     def put(self, n: int, pattern: BitMatrix, outcome: SearchOutcome, all_extremal: bool) -> None:
@@ -655,5 +647,11 @@ class ResultsCache:
         self.entries[self.key(n, pattern)] = record
 
     def save(self) -> None:
-        self.path.write_text(json.dumps(self.entries, indent=2, sort_keys=True) + "\n")
+        # Renaming a finished sibling file over the cache survives a crash.
+        tmp = self.path.with_name(f"{self.path.name}.{os.getpid()}.tmp")
+        try:
+            tmp.write_text(json.dumps(self.entries, indent=2, sort_keys=True) + "\n")
+            os.replace(tmp, self.path)
+        finally:
+            tmp.unlink(missing_ok=True)
 

@@ -293,14 +293,8 @@ class TestVerify:
                                "--n-max", "4", "--k-max", "3")
         assert code == 0
         got = [row[:5] for row in list(csv.reader(io.StringIO(out)))[1:]]
-        want = []
-        for name in sorted(SUITES):
-            rows = [[row.theorem_id, row.instance, row.expected, row.actual, row.status]
-                    for row in run_suite(name, n_max=4, k_max=3)]
-            assert rows, f"suite {name} contributed no rows"
-            want += rows
-        assert got == want
-        # The same rows, less millis, as the pinned report in tests/data.
+        # The pinned report holds every suite's rows, less millis, with the
+        # suites in name order.
         with open(DATA / "verify_all_n4_k3.csv", newline="") as pinned:
             assert got == list(csv.reader(pinned))[1:]
 

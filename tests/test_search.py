@@ -1,6 +1,8 @@
-"""Certified descent search for maximum strongly forcing matrices."""
+"""Certified branch-and-bound search for maximum strongly forcing matrices."""
 
 import itertools
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -126,12 +128,12 @@ class TestSearchTree:
     # Exact node counts pin the DFS tree, its order and its budget cut
     # points; a kernel change that alters any of them fails here.
     @pytest.mark.parametrize("n, name, config, status, nodes", [
-        (4, "i3", SearchConfig(), "exact", 104),
-        (4, "b3", SearchConfig(enumerate_all_extremal=True), "exact", 420),
-        (5, "i3", SearchConfig(), "exact", 14_425),
-        (5, "i3", SearchConfig(enumerate_all_extremal=True), "exact", 53_120),
-        (5, "i4", SearchConfig(), "exact", 1_815),
-        (6, "i5", SearchConfig(), "exact", 26_123),
+        (4, "i3", SearchConfig(), "exact", 89),
+        (4, "b3", SearchConfig(enumerate_all_extremal=True), "exact", 396),
+        (5, "i3", SearchConfig(), "exact", 13_981),
+        (5, "i3", SearchConfig(enumerate_all_extremal=True), "exact", 51_320),
+        (5, "i4", SearchConfig(), "exact", 1_616),
+        (6, "i5", SearchConfig(), "exact", 23_108),
         (5, "i3", SearchConfig(node_budget=1000), "budget_exhausted", 1_001),
     ])
     def test_nodes_explored(self, n, name, config, status, nodes):
@@ -152,6 +154,15 @@ class TestBudgets:
         assert out.status == "budget_exhausted"
         assert out.best_ones >= 14  # construction floor is already exact here
         assert is_strongly_forcing(out.witnesses[0], identity(4))
+
+    def test_budget_cut_keeps_best_verified_matrix_above_floor(self):
+        # The construction floor here is 10; an 11 verifies within 50 nodes.
+        q = parse("101\n001")
+        out = search_max(4, q, SearchConfig(node_budget=50))
+        assert (out.status, out.best_ones) == ("budget_exhausted", 11)
+        assert len(out.witnesses) == 1
+        assert out.witnesses[0].ones_count() == 11
+        assert is_strongly_forcing(out.witnesses[0], q)
 
     def test_budget_result_is_a_true_lower_bound(self):
         exact = search_max(4, named("c3")).best_ones
@@ -214,6 +225,33 @@ class TestResultsCache:
         assert ResultsCache.key(5, parse("2 3\n110\n001\n")) == "5:110/001"
         assert ResultsCache.key(6, named("b3")) != ResultsCache.key(6, named("c3"))
         assert ResultsCache.key(6, identity(2)) != ResultsCache.key(5, identity(2))
+
+    def test_hit_reports_its_own_time_and_the_stored_nodes(self, tmp_path):
+        cache = ResultsCache(tmp_path / "results.json")
+        out = search_max(4, identity(2))
+        cache.put(4, identity(2), replace(out, elapsed=3600.0), all_extremal=False)
+        hit = cache.get(4, identity(2))
+        assert hit.elapsed < 3600.0
+        assert hit.nodes_explored == out.nodes_explored
+
+    def test_failed_save_leaves_previous_file_loadable(self, tmp_path, monkeypatch):
+        path = tmp_path / "results.json"
+        cache = ResultsCache(path)
+        search_max(4, identity(2), cache=cache)
+        before = path.read_text()
+
+        def write_half_then_fail(self, data, *args, **kwargs):
+            with open(self, "w") as handle:
+                handle.write(data[: len(data) // 2])
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(Path, "write_text", write_half_then_fail)
+        with pytest.raises(OSError):
+            search_max(4, identity(3), cache=cache)
+        monkeypatch.undo()
+        assert path.read_text() == before
+        assert ResultsCache(path).get(4, identity(2)) is not None
+        assert [p.name for p in tmp_path.iterdir()] == ["results.json"]
 
     def test_budget_outcomes_are_not_cached(self, tmp_path):
         cache = ResultsCache(tmp_path / "results.json")
