@@ -5,6 +5,9 @@ submatrix of A that equals Q exactly. Where plain forcing asks for minimum
 ones, the natural extremal question here is the maximum: search_max computes
 max ones over strongly forcing square matrices with one zero-placement DFS
 whose zero cap tightens at each verified matrix, so the last one is exact.
+One checker does every witness test: after each placed row, the prefix test
+asks that every 1 so far lie in a copy of a long enough prefix of the
+pattern's rows, and after the last row that is strong forcing itself.
 """
 
 from __future__ import annotations
@@ -13,7 +16,6 @@ import json
 import os
 import time
 from dataclasses import dataclass, replace
-from itertools import combinations
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -139,25 +141,49 @@ def find_witness(mat: BitMatrix, pattern: BitMatrix, pos: Position | tuple[int, 
     return WitnessEmbedding(*got)
 
 
-def _strongly_forcing_rows(abits, m: int, n: int, qbits, s: int, t: int, q_ones) -> bool:
+def _pattern_prefixes(pattern: BitMatrix) -> list[tuple[tuple[int, ...], list[tuple[int, int]]]]:
+    # Entry p: the pattern's first p rows and the 1-coordinates among them.
+    q_ones = list(pattern.iter_ones())
+    return [(pattern.bits[:p], [(y, x) for y, x in q_ones if y < p])
+            for p in range(pattern.rows + 1)]
+
+
+def _strongly_forcing_rows(abits, m: int, n: int, t: int, prefixes, p_min: int,
+                           done: tuple[int, ...]) -> tuple[int, ...] | None:
+    """The prefix test on rows 0..m-1: new coverage, or None when it fails.
+
+    Every 1-entry outside done must lie in an exact copy of the pattern's
+    first p rows (prefixes[p], see _pattern_prefixes) inside rows 0..m-1,
+    for some p >= p_min. done marks the entries inside a copy of the whole
+    pattern, which no later row can undo; the result extends it. With
+    p_min equal to the pattern's row count this is the strong-forcing test.
+    """
+    s = len(prefixes) - 1
     # Coverage memo: a found copy witnesses every 1-entry it touches, so
-    # later entries inside it need no fresh search.
-    covered = [0] * m
+    # later entries inside it need no fresh search. Copies of the whole
+    # pattern go into done, shorter ones into partial.
+    done = list(done)
+    partial = [0] * m
     for r in range(m):
-        row = abits[r]
+        row = abits[r] & ~done[r]
         while row:
             low = row & -row
             row ^= low
-            c = low.bit_length() - 1
-            if (covered[r] >> c) & 1:
+            if (done[r] | partial[r]) & low:
                 continue
-            got = _witness_through(abits, m, n, qbits, s, t, q_ones, r, c)
-            if got is None:
-                return False
+            c = low.bit_length() - 1
+            for p in range(p_min, min(s, m) + 1):
+                qbits, q_ones = prefixes[p]
+                got = _witness_through(abits, m, n, qbits, p, t, q_ones, r, c)
+                if got is not None:
+                    break
+            else:
+                return None
             rows_sel, cols_sel = got
+            marks = done if p == s else partial
             for y, x in q_ones:
-                covered[rows_sel[y]] |= 1 << cols_sel[x]
-    return True
+                marks[rows_sel[y]] |= 1 << cols_sel[x]
+    return tuple(done)
 
 
 def is_strongly_forcing(mat: BitMatrix, pattern: BitMatrix) -> bool:
@@ -170,9 +196,9 @@ def is_strongly_forcing(mat: BitMatrix, pattern: BitMatrix) -> bool:
             f"pattern {pattern.rows}x{pattern.cols} does not fit in {mat.rows}x{mat.cols}"
         )
     return _strongly_forcing_rows(
-        mat.bits, mat.rows, mat.cols, pattern.bits, pattern.rows, pattern.cols,
-        list(pattern.iter_ones()),
-    )
+        mat.bits, mat.rows, mat.cols, pattern.cols, _pattern_prefixes(pattern),
+        pattern.rows, (0,) * mat.rows,
+    ) is not None
 
 
 # -- constructions -------------------------------------------------------------
@@ -390,46 +416,6 @@ class _BudgetExhausted(Exception):
     pass
 
 
-def _row_anchor_requirements(pattern: BitMatrix) -> list[tuple[int, int, int, int, int, int]]:
-    # For each pattern 1-entry (y, x): rows needed above and below, and the
-    # ones/zeros the anchored matrix row must offer left and right of the
-    # anchored column. Necessary conditions only.
-    s, t = pattern.rows, pattern.cols
-    reqs = []
-    for y, x in pattern.iter_ones():
-        row = pattern.bits[y]
-        ones_left = (row & ((1 << x) - 1)).bit_count()
-        ones_right = (row >> (x + 1)).bit_count()
-        reqs.append((
-            y, s - 1 - y,
-            ones_left, x - ones_left,
-            ones_right, (t - 1 - x) - ones_right,
-        ))
-    return reqs
-
-
-def _row_mask_admissible(ones_mask: int, i: int, n: int, reqs) -> bool:
-    # Every 1 in this row needs some anchor whose row-local demands fit.
-    mask = ones_mask
-    while mask:
-        low = mask & -mask
-        mask ^= low
-        c = low.bit_length() - 1
-        left = ones_mask & (low - 1)
-        ones_l = left.bit_count()
-        zeros_l = c - ones_l
-        ones_r = (ones_mask >> (c + 1)).bit_count()
-        zeros_r = (n - 1 - c) - ones_r
-        for above, below, need_ol, need_zl, need_or, need_zr in reqs:
-            if (i >= above and n - 1 - i >= below
-                    and ones_l >= need_ol and zeros_l >= need_zl
-                    and ones_r >= need_or and zeros_r >= need_zr):
-                break
-        else:
-            return False
-    return True
-
-
 def _min_zero_demand(pattern: BitMatrix) -> tuple[int, int]:
     # Minimum zeros any 1-bearing row (resp. column) of a strongly forcing
     # matrix must carry: the scarcest zero count among pattern rows (columns)
@@ -463,29 +449,29 @@ def _baseline_witness(n: int, pattern: BitMatrix) -> BitMatrix:
             if apply_symmetry(pattern, seq) == base_pattern:
                 candidates.append(apply_symmetry(base_witness, tuple(reversed(seq))))
                 break
-    best = None
-    for cand in candidates:
-        if is_strongly_forcing(cand, pattern):
-            if best is None or cand.ones_count() > best.ones_count():
-                best = cand
-    assert best is not None  # the all-zero matrix always qualifies
-    return best
+    # The all-zero matrix always verifies, so max sees at least one candidate.
+    return max((cand for cand in candidates if is_strongly_forcing(cand, pattern)),
+               key=BitMatrix.ones_count)
 
 
 def search_max(n: int, pattern: BitMatrix, config: SearchConfig | None = None,
                cache: "ResultsCache | None" = None) -> SearchOutcome:
     """Exact maximum ones over strongly forcing n x n matrices.
 
-    One depth-first placement of zeros, row by row, pruned by per-row
-    anchor demands and per-column zero deficits under a cap on the total
-    zeros. The cap starts at the construction floor and tightens at every
-    verified matrix, so the last level found is the maximum and status
-    "exact" certifies it. A budget cut returns the best verified matrix so
-    far, never below the construction floor.
+    One depth-first placement of zeros, row by row, pruned by per-column
+    zero deficits under a cap on the total zeros and by the prefix test:
+    after row i, every 1 in rows 0..i must lie in a copy of the pattern's
+    first p rows inside rows 0..i, for some p >= s - (n-1-i), since the rows
+    of a real copy at or above row i are such a prefix. After the last row
+    that is the strong-forcing test itself. The cap starts at the
+    construction floor and tightens at every verified matrix, so the last
+    level found is the maximum and status "exact" certifies it. A budget
+    cut returns the best verified matrix so far, never below the
+    construction floor.
 
     With enumerate_all_extremal the whole maximum level set is collected;
     witnesses are always sorted by text form. nodes_explored counts every
-    candidate row zero mask tried, including those the row anchor test
+    candidate row zero mask tried, including those the prefix test
     rejects; it is deterministic.
     """
     config = config or SearchConfig()
@@ -525,75 +511,65 @@ def _branch_and_bound(n: int, pattern: BitMatrix, config: SearchConfig) -> Searc
     zr, zc = _min_zero_demand(pattern)
     baseline = _baseline_witness(n, pattern)
 
-    reqs = _row_anchor_requirements(pattern)
     full = (1 << n) - 1
-    q_ones = list(pattern.iter_ones())
-    qbits, s, t = pattern.bits, pattern.rows, pattern.cols
+    s, t = pattern.rows, pattern.cols
+    prefixes = _pattern_prefixes(pattern)
 
-    # Candidate zero masks per row class and zero count, in increasing mask
-    # order, each flagged by the row anchor test; built on first use. The
-    # class (min(i, s), min(n-1-i, s)) fixes the test, since no anchor needs
-    # s or more rows on either side.
-    candidate_lists: dict[tuple[int, int, int], list[tuple[int, bool]]] = {}
-
-    def candidates(i: int, z: int) -> list[tuple[int, bool]]:
-        key = (min(i, s), min(n - 1 - i, s), z)
-        got = candidate_lists.get(key)
-        if got is None:
-            masks = sorted(sum(1 << c for c in cols) for cols in combinations(range(n), z))
-            got = candidate_lists[key] = [
-                (zmask, zmask == full or _row_mask_admissible(full & ~zmask, i, n, reqs))
-                for zmask in masks
-            ]
-        return got
+    # Candidate zero masks by zero count, each list in increasing mask order.
+    candidates: list[list[int]] = [[] for _ in range(n + 1)]
+    for zmask in range(1 << n):
+        candidates[zmask.bit_count()].append(zmask)
 
     nodes = 0
     found: list[BitMatrix] = []
     # Most zeros a recorded matrix may have: the construction floor's count,
     # then each verified matrix's count (all-extremal) or one less.
     cap = n * n - baseline.ones_count()
-    chosen = [0] * n
+    rows = [0] * n
 
-    def place(i: int, used: int, col_ones: int, reached: tuple[int, ...]) -> None:
+    def place(i: int, used: int, col_ones: int, reached: tuple[int, ...],
+              done: tuple[int, ...]) -> None:
         # reached[j] holds the columns with more than j zeros so far; a
         # column with a 1 needs zc zeros, i.e. membership in reached[zc-1].
+        # done marks the entries of rows 0..i-1 inside a full pattern copy.
         nonlocal nodes, cap
         if i == n:
-            abits = tuple(full & ~z for z in chosen)
-            if _strongly_forcing_rows(abits, n, n, qbits, s, t, q_ones):
-                if used < cap or not config.enumerate_all_extremal:
-                    found.clear()
-                found.append(BitMatrix(n, n, abits))
-                cap = used if config.enumerate_all_extremal else used - 1
+            if used < cap or not config.enumerate_all_extremal:
+                found.clear()
+            found.append(BitMatrix(n, n, tuple(rows)))
+            cap = used if config.enumerate_all_extremal else used - 1
             return
         rows_after = n - i - 1
         # Columns outside reached[last] can no longer reach zc zeros.
         last = zc - 1 - rows_after
         below = (full,) + reached[:-1]
+        done += (0,)
         z = zr
         while z <= min(n, cap - used - rows_after * zr):
-            for zmask, admissible in candidates(i, z):
+            for zmask in candidates[z]:
                 nodes += 1
                 if config.node_budget is not None and nodes > config.node_budget:
                     raise _BudgetExhausted
                 if deadline is not None and nodes % 1024 == 0 and time.monotonic() > deadline:
                     raise _BudgetExhausted
-                if not admissible:
-                    continue
                 ones = col_ones | (full ^ zmask)
                 nxt = tuple([r | (b & zmask) for b, r in zip(below, reached)])
                 if last >= 0 and ones & ~nxt[last]:
                     continue
                 deficit = sum([(ones & ~r).bit_count() for r in nxt])
-                if deficit <= cap - used - z:
-                    chosen[i] = zmask
-                    place(i + 1, used + z, ones, nxt)
+                if deficit > cap - used - z:
+                    continue
+                rows[i] = full ^ zmask
+                nxt_done = _strongly_forcing_rows(rows, i + 1, n, t, prefixes,
+                                                  max(1, s - rows_after), done)
+                if nxt_done is not None:
+                    place(i + 1, used + z, ones, nxt, nxt_done)
                     if z > cap - used - rows_after * zr:
                         return  # a verified leaf lowered the cap below z
             z += 1
 
     try:
-        place(0, 0, 0, (0,) * zc)
+        place(0, 0, 0, (0,) * zc, ())
         status = STATUS_EXACT
     except _BudgetExhausted:
         status = STATUS_BUDGET
@@ -633,10 +609,18 @@ class ResultsCache:
             return None
         if need_all_extremal and not entry.get("all_extremal", False):
             return None
+        # An entry is trusted only when every witness still verifies at its
+        # stated ones count; anything else is searched again.
+        witnesses = tuple(parse(text) for text in entry["witnesses"])
+        if not witnesses or not all(
+            (w.rows, w.cols) == (n, n) and w.ones_count() == entry["best_ones"]
+            and is_strongly_forcing(w, pattern) for w in witnesses
+        ):
+            return None
         return SearchOutcome(
             status=entry["status"],
             best_ones=entry["best_ones"],
-            witnesses=tuple(parse(text) for text in entry["witnesses"]),
+            witnesses=witnesses,
             nodes_explored=entry["nodes_explored"],
             elapsed=time.monotonic() - start,
         )

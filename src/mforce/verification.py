@@ -280,7 +280,7 @@ def conjecture_table(n_max: int, k_max: int) -> dict[tuple[int, int], int]:
     return table
 
 
-def suite_conjecture(n_max: int = 12, k_max: int = 6) -> list[VerifyRow]:
+def suite_conjecture(n_max: int = 12, k_max: int = 6) -> Iterator[Claim]:
     """Evidence table for the conjectured identity maxima.
 
     Each (n, k) row reports the construction and recurrence lower bounds and

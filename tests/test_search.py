@@ -1,6 +1,7 @@
 """Certified branch-and-bound search for maximum strongly forcing matrices."""
 
 import itertools
+import json
 from dataclasses import replace
 from pathlib import Path
 
@@ -13,6 +14,8 @@ from mforce import (
     ResultsCache,
     SearchConfig,
     SearchOutcome,
+    conjectured_max_identity,
+    direct_sum,
     extremal_2x2,
     hankel,
     identity,
@@ -55,6 +58,13 @@ class TestExactValues:
         assert out.status == "exact"
         assert out.best_ones == 13
         assert is_strongly_forcing(out.witnesses[0], named("b3"))
+
+    @pytest.mark.parametrize("k, best", [(6, 10), pytest.param(5, 15, marks=pytest.mark.slow)])
+    def test_order_7_identity_meets_conjecture(self, k, best):
+        out = search_max(7, identity(k))
+        assert (out.status, out.best_ones) == ("exact", best)
+        assert best == conjectured_max_identity(7, k)
+        assert is_strongly_forcing(out.witnesses[0], identity(k))
 
     def test_single_one_pattern(self):
         out = search_max(3, make(1, 1, 1))
@@ -126,18 +136,27 @@ class TestWitnessDiscipline:
 
 class TestSearchTree:
     # Exact node counts pin the DFS tree, its order and its budget cut
-    # points; a kernel change that alters any of them fails here.
-    @pytest.mark.parametrize("n, name, config, status, nodes", [
-        (4, "i3", SearchConfig(), "exact", 89),
-        (4, "b3", SearchConfig(enumerate_all_extremal=True), "exact", 396),
-        (5, "i3", SearchConfig(), "exact", 13_981),
-        (5, "i3", SearchConfig(enumerate_all_extremal=True), "exact", 51_320),
-        (5, "i4", SearchConfig(), "exact", 1_616),
-        (6, "i5", SearchConfig(), "exact", 23_108),
-        (5, "i3", SearchConfig(node_budget=1000), "budget_exhausted", 1_001),
+    # points; a kernel change that alters any of them fails here. The two
+    # 2x3 patterns have a construction floor far below their maximum, so
+    # the zero cap starts loose there.
+    @pytest.mark.parametrize("n, pattern, config, status, nodes", [
+        pytest.param(4, named("i3"), SearchConfig(), "exact", 31, id="4-i3"),
+        pytest.param(4, named("b3"), SearchConfig(enumerate_all_extremal=True),
+                     "exact", 112, id="4-b3-all"),
+        pytest.param(5, named("i3"), SearchConfig(), "exact", 726, id="5-i3"),
+        pytest.param(5, named("i3"), SearchConfig(enumerate_all_extremal=True),
+                     "exact", 4_165, id="5-i3-all"),
+        pytest.param(5, named("i4"), SearchConfig(), "exact", 216, id="5-i4"),
+        pytest.param(6, named("i5"), SearchConfig(), "exact", 870, id="6-i5"),
+        pytest.param(5, named("i3"), SearchConfig(node_budget=500),
+                     "budget_exhausted", 501, id="5-i3-budget"),
+        pytest.param(5, parse("100\n101"), SearchConfig(enumerate_all_extremal=True),
+                     "exact", 35, id="5-100_101-all"),
+        pytest.param(5, parse("001\n110"), SearchConfig(enumerate_all_extremal=True),
+                     "exact", 140, id="5-001_110-all"),
     ])
-    def test_nodes_explored(self, n, name, config, status, nodes):
-        out = search_max(n, named(name), config)
+    def test_nodes_explored(self, n, pattern, config, status, nodes):
+        out = search_max(n, pattern, config)
         assert (out.status, out.nodes_explored) == (status, nodes)
 
 
@@ -252,6 +271,25 @@ class TestResultsCache:
         assert path.read_text() == before
         assert ResultsCache(path).get(4, identity(2)) is not None
         assert [p.name for p in tmp_path.iterdir()] == ["results.json"]
+
+    @pytest.mark.parametrize("field, value", [
+        ("witnesses", [serialize(extremal_2x2(4, "h2"))]),  # 12 ones, no I_2 copy
+        ("witnesses", [serialize(direct_sum(extremal_2x2(4, "i2"), make(1, 1, 0)))]),
+        ("witnesses", []),
+        ("best_ones", 13),
+    ], ids=["witness-not-forcing", "witness-wrong-order", "no-witness", "ones-count-mismatch"])
+    def test_entry_that_fails_to_verify_is_searched_again(self, tmp_path, field, value):
+        path = tmp_path / "results.json"
+        first = search_max(4, identity(2), cache=ResultsCache(path))
+        entries = json.loads(path.read_text())
+        entries[ResultsCache.key(4, identity(2))][field] = value
+        path.write_text(json.dumps(entries))
+
+        cache = ResultsCache(path)
+        assert cache.get(4, identity(2)) is None
+        again = search_max(4, identity(2), cache=cache)
+        assert self.payload(again) == self.payload(first)
+        assert self.payload(ResultsCache(path).get(4, identity(2))) == self.payload(first)
 
     def test_budget_outcomes_are_not_cached(self, tmp_path):
         cache = ResultsCache(tmp_path / "results.json")
