@@ -3,12 +3,22 @@
 Everything here enumerates definitions directly: all row/column subsets, or
 all matrices of a given order. The fast paths elsewhere in the package are
 tested against these. Deliberately no pruning beyond feasibility caps.
+
+The strong-forcing oracles share one definition of an exact copy. A matrix
+is flattened row-major into one int (entry (r, c) at bit r * cols + c), and
+each row/column subset placement of an s x t pattern becomes two masks over
+it: ``window``, the s * t cells the placement selects, and ``copy``, the
+cells where the pattern has a 1. The placement holds an exact copy iff
+``flat & window == copy``, and the matrix is strongly forcing iff the union
+of the matching ``copy`` masks is the whole of ``flat``. Every placement is
+tested; nothing is pruned.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 from math import comb
+from typing import Iterable, Iterator
 
 from .bitmatrix import BitMatrix, serialize
 
@@ -48,66 +58,77 @@ def oracle_minimal_forcing(m: int, n: int, pattern: BitMatrix, cap: int = DEFAUL
     return BitMatrix(m, n, tuple(grid))
 
 
-def oracle_is_strongly_forcing(mat: BitMatrix, pattern: BitMatrix, cap: int = DEFAULT_PLACEMENT_CAP) -> bool:
-    """Check by full enumeration that every 1-entry sits inside an exact pattern copy.
+def _placements(m: int, n: int, pattern: BitMatrix, cap: int) -> Iterator[tuple[int, int]]:
+    """Yield (window, copy) masks of every placement of pattern in an m x n matrix.
 
-    Walks all subset placements, records which 1-entries each exact copy
-    covers, then demands total coverage.
+    The masks index the row-major flattening (entry (r, c) at bit r * n + c).
+    Placements are produced lazily, so a large cap never builds them all.
     """
-    m, n = mat.rows, mat.cols
     s, t = pattern.rows, pattern.cols
     if m < s or n < t:
         raise ValueError(f"pattern {s}x{t} does not fit in {m}x{n}")
     _check_cap(m, n, s, t, cap)
-    ones = list(pattern.iter_ones())
-    qbits = pattern.bits
-    abits = mat.bits
-    covered = [0] * m
-    for row_sel in combinations(range(m), s):
-        for col_sel in combinations(range(n), t):
-            match = True
-            for y in range(s):
-                src = abits[row_sel[y]]
-                packed = 0
-                for x, j in enumerate(col_sel):
-                    packed |= ((src >> j) & 1) << x
-                if packed != qbits[y]:
-                    match = False
-                    break
-            if match:
-                for y, x in ones:
-                    covered[row_sel[y]] |= 1 << col_sel[x]
-    return all(row & ~cov == 0 for row, cov in zip(abits, covered))
+    for col_sel in combinations(range(n), t):
+        cols = sum(1 << j for j in col_sel)
+        # Each pattern row with its columns moved onto col_sel.
+        spread = [sum(1 << j for x, j in enumerate(col_sel) if row >> x & 1) for row in pattern.bits]
+        for row_sel in combinations(range(m), s):
+            window = copy = 0
+            for r, part in zip(row_sel, spread):
+                window |= cols << (r * n)
+                copy |= part << (r * n)
+            yield window, copy
+
+
+def _covered_by_copies(flat: int, placements: Iterable[tuple[int, int]]) -> bool:
+    """True when the exact copies among placements cover every 1 of flat."""
+    covered = 0
+    for window, copy in placements:
+        if flat & window == copy:
+            covered |= copy
+    return covered == flat
+
+
+def oracle_is_strongly_forcing(mat: BitMatrix, pattern: BitMatrix, cap: int = DEFAULT_PLACEMENT_CAP) -> bool:
+    """Check by full enumeration that every 1-entry sits inside an exact pattern copy.
+
+    Walks all subset placements, collects the 1-entries of each exact copy,
+    then demands that they cover every 1-entry of the matrix.
+    """
+    flat = sum(row << (r * mat.cols) for r, row in enumerate(mat.bits))
+    return _covered_by_copies(flat, _placements(mat.rows, mat.cols, pattern, cap))
 
 
 def oracle_max_strong(n: int, pattern: BitMatrix, allow_slow_sweep: bool = False,
                       cap: int = DEFAULT_PLACEMENT_CAP) -> tuple[int, list[BitMatrix]]:
     """Sweep all 2^(n*n) matrices of order n for the strongly-forcing maximum.
 
-    Returns the maximum ones count together with the complete level set of
-    maximizers, sorted by their text form. Orders above 4 are refused unless
-    allow_slow_sweep is set; n = 5 already means 2^25 candidate matrices.
+    Each matrix is its row-major code (row i in bits i*n .. i*n + n - 1). The
+    placements' window/copy masks are built once per sweep, and every code at
+    or above the best ones count so far is tested against every placement
+    with one AND-compare each; nothing is pruned. Returns the maximum ones
+    count together with the complete level set of maximizers, sorted by their
+    text form. Orders above 4 are refused unless allow_slow_sweep is set;
+    n = 5 already means 2^25 candidate matrices.
     """
     if n > 5 or (n == 5 and not allow_slow_sweep):
         raise ValueError(
             f"full sweep of order {n} is out of range (n <= 4, or n = 5 with allow_slow_sweep)"
         )
-    s, t = pattern.rows, pattern.cols
-    if n < s or n < t:
-        raise ValueError(f"pattern {s}x{t} does not fit in {n}x{n}")
-    row_mask = (1 << n) - 1
+    placements = list(_placements(n, n, pattern, cap))
     best = -1
-    level: list[BitMatrix] = []
+    codes: list[int] = []
     for code in range(1 << (n * n)):
-        mat = BitMatrix(n, n, tuple((code >> (i * n)) & row_mask for i in range(n)))
-        count = mat.ones_count()
+        count = code.bit_count()
         if count < best:
             continue
-        if oracle_is_strongly_forcing(mat, pattern, cap=cap):
+        if _covered_by_copies(code, placements):
             if count > best:
                 best = count
-                level = [mat]
+                codes = [code]
             else:
-                level.append(mat)
+                codes.append(code)
+    row_mask = (1 << n) - 1
+    level = [BitMatrix(n, n, tuple((code >> (i * n)) & row_mask for i in range(n))) for code in codes]
     level.sort(key=serialize)
     return best, level

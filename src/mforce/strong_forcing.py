@@ -582,13 +582,19 @@ def _branch_and_bound(n: int, pattern: BitMatrix, config: SearchConfig) -> Searc
 
 # -- results cache ----------------------------------------------------------------
 
+# Stored with every cache entry; an entry with another or no version is a
+# miss. Raise it whenever the search or the entry layout changes what an
+# entry records, e.g. nodes_explored (2: the prefix witness test).
+CACHE_VERSION = 2
+
 
 class ResultsCache:
     """JSON-backed store of exact search outcomes, keyed by order and pattern.
 
     The key is the order, a colon, then the pattern rows as 0/1 text joined
     by "/", e.g. "6:1000/0100/0010/0001". Only exact outcomes are stored;
-    entries remember whether they hold the complete extremal level set.
+    entries remember whether they hold the complete extremal level set and
+    the CACHE_VERSION that wrote them.
     """
 
     def __init__(self, path: str | Path):
@@ -605,7 +611,7 @@ class ResultsCache:
         """The stored outcome, or None; elapsed is this lookup's own time."""
         start = time.monotonic()
         entry = self.entries.get(self.key(n, pattern))
-        if entry is None:
+        if entry is None or entry.get("version") != CACHE_VERSION:
             return None
         if need_all_extremal and not entry.get("all_extremal", False):
             return None
@@ -628,6 +634,7 @@ class ResultsCache:
     def put(self, n: int, pattern: BitMatrix, outcome: SearchOutcome, all_extremal: bool) -> None:
         record = outcome.to_json_dict()
         record["all_extremal"] = all_extremal
+        record["version"] = CACHE_VERSION
         self.entries[self.key(n, pattern)] = record
 
     def save(self) -> None:

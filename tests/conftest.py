@@ -10,20 +10,11 @@ from __future__ import annotations
 from itertools import combinations
 from pathlib import Path
 
-import pytest
 from hypothesis import strategies as st
 
-from mforce import BitMatrix, named, oracle_max_strong, parse
+from mforce import BitMatrix, parse
 
 DATA = Path(__file__).parent / "data"
-
-PERMUTATIONS_3X3 = ("i3", "h3", "b3", "c3", "d3", "e3")
-
-
-@pytest.fixture(scope="session")
-def order4_sweeps_3x3() -> dict[str, tuple[int, list[BitMatrix]]]:
-    """oracle_max_strong(4, p) for the six 3x3 permutations, swept once per session."""
-    return {name: oracle_max_strong(4, named(name)) for name in PERMUTATIONS_3X3}
 
 
 def load(name: str) -> str:

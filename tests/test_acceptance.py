@@ -195,10 +195,9 @@ class Test3x3PermutationMaxima:
             assert (four.status, four.best_ones) == ("exact", 7)
             assert (five.status, five.best_ones) == ("exact", 13)
 
-    @pytest.mark.slow
-    def test_order_4_sweep_confirms(self, order4_sweeps_3x3):
+    def test_order_4_sweep_confirms(self):
         for name in self.WORDS:
-            best, _ = order4_sweeps_3x3[name]
+            best, _ = oracle_max_strong(4, named(name))
             assert best == 7
 
 

@@ -5,9 +5,12 @@ only pin them against hand-checkable instances and their own documented
 guard rails.
 """
 
+from itertools import combinations, product
+
 import pytest
 
 from mforce import (
+    BitMatrix,
     EnumerationCapError,
     identity,
     make,
@@ -64,6 +67,27 @@ class TestStronglyForcingOracle:
     def test_cap_guard(self):
         with pytest.raises(EnumerationCapError):
             oracle_is_strongly_forcing(make(40, 40, 0), identity(10), cap=10**4)
+
+    @pytest.mark.parametrize("rows, cols", [(3, 4), (4, 3)])
+    @pytest.mark.parametrize("pattern", [identity(2), parse("100\n011\n")], ids=["i2", "100/011"])
+    def test_every_rectangular_matrix_matches_the_definition(self, rows, cols, pattern):
+        # Non-square matrices pin the row-major flattening: a row shift by
+        # the wrong side length would mix up entries of neighbouring rows.
+        def by_definition(mat):
+            covered = set()
+            for row_sel in combinations(range(mat.rows), pattern.rows):
+                for col_sel in combinations(range(mat.cols), pattern.cols):
+                    if mat.submatrix(row_sel, col_sel) == pattern:
+                        covered.update((row_sel[y], col_sel[x]) for y, x in pattern.iter_ones())
+            return covered == set(mat.iter_ones())
+
+        forcing = 0
+        for bits in product(range(1 << cols), repeat=rows):
+            mat = BitMatrix(rows, cols, bits)
+            want = by_definition(mat)
+            assert oracle_is_strongly_forcing(mat, pattern) == want, mat
+            forcing += want
+        assert 1 < forcing < 1 << (rows * cols)
 
 
 class TestMaxStrongSweep:

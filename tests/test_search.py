@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import random
 from dataclasses import replace
 from pathlib import Path
 
@@ -30,6 +31,7 @@ from mforce import (
     serialize,
     upper_bound_simple,
 )
+from mforce.strong_forcing import CACHE_VERSION
 
 
 def all_nonzero_patterns(max_side):
@@ -81,18 +83,21 @@ class TestExactValues:
             assert out.best_ones == want_best
             assert list(out.witnesses) == want_level
 
-    @pytest.mark.slow
     def test_agrees_with_sweep_at_order_4_sample(self):
+        # Four 2x2 patterns, then a fixed seeded draw of 64 of the 673
+        # nonzero patterns up to 3x3.
         sample = [identity(2), hankel(2), parse("11\n00\n"), parse("10\n00\n")]
+        sample += random.Random(4).sample(list(all_nonzero_patterns(3)), 64)
         for q in sample:
             want_best, want_level = oracle_max_strong(4, q)
             out = search_max(4, q, SearchConfig(enumerate_all_extremal=True))
+            assert out.status == "exact"
             assert out.best_ones == want_best
             assert list(out.witnesses) == want_level
 
-    @pytest.mark.slow
-    def test_agrees_with_sweep_on_3x3_permutations(self, order4_sweeps_3x3):
-        for name, (want_best, want_level) in order4_sweeps_3x3.items():
+    def test_agrees_with_sweep_on_3x3_permutations(self):
+        for name in ("i3", "h3", "b3", "c3", "d3", "e3"):
+            want_best, want_level = oracle_max_strong(4, named(name))
             out = search_max(4, named(name), SearchConfig(enumerate_all_extremal=True))
             assert out.best_ones == want_best
             assert list(out.witnesses) == want_level
@@ -277,12 +282,19 @@ class TestResultsCache:
         ("witnesses", [serialize(direct_sum(extremal_2x2(4, "i2"), make(1, 1, 0)))]),
         ("witnesses", []),
         ("best_ones", 13),
-    ], ids=["witness-not-forcing", "witness-wrong-order", "no-witness", "ones-count-mismatch"])
+        ("version", CACHE_VERSION - 1),  # written by an older search
+        ("version", None),  # None deletes the field
+    ], ids=["witness-not-forcing", "witness-wrong-order", "no-witness", "ones-count-mismatch",
+            "version-older", "version-missing"])
     def test_entry_that_fails_to_verify_is_searched_again(self, tmp_path, field, value):
         path = tmp_path / "results.json"
         first = search_max(4, identity(2), cache=ResultsCache(path))
         entries = json.loads(path.read_text())
-        entries[ResultsCache.key(4, identity(2))][field] = value
+        entry = entries[ResultsCache.key(4, identity(2))]
+        if value is None:
+            del entry[field]
+        else:
+            entry[field] = value
         path.write_text(json.dumps(entries))
 
         cache = ResultsCache(path)
