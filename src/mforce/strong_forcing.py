@@ -7,7 +7,10 @@ max ones over strongly forcing square matrices with one zero-placement DFS
 whose zero cap tightens at each verified matrix, so the last one is exact.
 One checker does every witness test: after each placed row, the prefix test
 asks that every 1 so far lie in a copy of a long enough prefix of the
-pattern's rows, and after the last row that is strong forcing itself.
+pattern's rows, and after the last row that is strong forcing itself. Its
+coverage is carried down per prefix length: only the new row and entries
+whose copies grew too short are searched, longer prefixes only from anchors
+in their last row.
 """
 
 from __future__ import annotations
@@ -141,49 +144,50 @@ def find_witness(mat: BitMatrix, pattern: BitMatrix, pos: Position | tuple[int, 
     return WitnessEmbedding(*got)
 
 
-def _pattern_prefixes(pattern: BitMatrix) -> list[tuple[tuple[int, ...], list[tuple[int, int]]]]:
-    # Entry p: the pattern's first p rows and the 1-coordinates among them.
+def _pattern_prefixes(pattern: BitMatrix) -> list[tuple[tuple[int, ...], list, list]]:
+    # Entry p: the pattern's first p rows, their 1-coordinates, and those of row p-1.
     q_ones = list(pattern.iter_ones())
-    return [(pattern.bits[:p], [(y, x) for y, x in q_ones if y < p])
-            for p in range(pattern.rows + 1)]
+    return [(pattern.bits[:p], [(y, x) for y, x in q_ones if y < p],
+             [(y, x) for y, x in q_ones if y == p - 1]) for p in range(pattern.rows + 1)]
 
 
 def _strongly_forcing_rows(abits, m: int, n: int, t: int, prefixes, p_min: int,
-                           done: tuple[int, ...]) -> tuple[int, ...] | None:
+                           cov: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...] | None:
     """The prefix test on rows 0..m-1: new coverage, or None when it fails.
 
-    Every 1-entry outside done must lie in an exact copy of the pattern's
-    first p rows (prefixes[p], see _pattern_prefixes) inside rows 0..m-1,
-    for some p >= p_min. done marks the entries inside a copy of the whole
-    pattern, which no later row can undo; the result extends it. With
-    p_min equal to the pattern's row count this is the strong-forcing test.
+    Every 1-entry must lie in an exact copy of the pattern's first p rows
+    (prefixes[p], see _pattern_prefixes) inside rows 0..m-1, for some
+    p >= p_min. cov[p][r] marks the entries of row r known to lie in a copy
+    of p or more rows, which no added row can undo: only entries outside
+    cov[p_min] are searched, and each copy found extends cov (rows past its
+    length start empty). A level p > p_min tries only anchors in pattern
+    row p-1, since a longer copy through an earlier anchor truncates to one
+    the shorter level missed. With p_min = s this is strong forcing itself.
     """
     s = len(prefixes) - 1
-    # Coverage memo: a found copy witnesses every 1-entry it touches, so
-    # later entries inside it need no fresh search. Copies of the whole
-    # pattern go into done, shorter ones into partial.
-    done = list(done)
-    partial = [0] * m
+    cov = [list(level) + [0] * (m - len(level)) for level in cov]
+    seen = cov[p_min]
     for r in range(m):
-        row = abits[r] & ~done[r]
+        row = abits[r] & ~seen[r]
         while row:
             low = row & -row
             row ^= low
-            if (done[r] | partial[r]) & low:
+            if seen[r] & low:
                 continue
             c = low.bit_length() - 1
             for p in range(p_min, min(s, m) + 1):
-                qbits, q_ones = prefixes[p]
-                got = _witness_through(abits, m, n, qbits, p, t, q_ones, r, c)
+                qbits, q_ones, row_ones = prefixes[p]
+                anchors = q_ones if p == p_min else row_ones
+                got = _witness_through(abits, m, n, qbits, p, t, anchors, r, c)
                 if got is not None:
                     break
             else:
                 return None
             rows_sel, cols_sel = got
-            marks = done if p == s else partial
             for y, x in q_ones:
-                marks[rows_sel[y]] |= 1 << cols_sel[x]
-    return tuple(done)
+                for level in cov[p_min:p + 1]:
+                    level[rows_sel[y]] |= 1 << cols_sel[x]
+    return tuple(map(tuple, cov))
 
 
 def is_strongly_forcing(mat: BitMatrix, pattern: BitMatrix) -> bool:
@@ -197,7 +201,7 @@ def is_strongly_forcing(mat: BitMatrix, pattern: BitMatrix) -> bool:
         )
     return _strongly_forcing_rows(
         mat.bits, mat.rows, mat.cols, pattern.cols, _pattern_prefixes(pattern),
-        pattern.rows, (0,) * mat.rows,
+        pattern.rows, ((),) * (pattern.rows + 1),
     ) is not None
 
 
@@ -463,7 +467,10 @@ def search_max(n: int, pattern: BitMatrix, config: SearchConfig | None = None,
     after row i, every 1 in rows 0..i must lie in a copy of the pattern's
     first p rows inside rows 0..i, for some p >= s - (n-1-i), since the rows
     of a real copy at or above row i are such a prefix. After the last row
-    that is the strong-forcing test itself. The cap starts at the
+    that is the strong-forcing test itself. Each node passes down, per
+    prefix length, the entries known to lie in such copies, so only new or
+    stale entries are searched, longer prefixes only from anchors in their
+    last row (see _strongly_forcing_rows). The cap starts at the
     construction floor and tightens at every verified matrix, so the last
     level found is the maximum and status "exact" certifies it. A budget
     cut returns the best verified matrix so far, never below the
@@ -528,10 +535,10 @@ def _branch_and_bound(n: int, pattern: BitMatrix, config: SearchConfig) -> Searc
     rows = [0] * n
 
     def place(i: int, used: int, col_ones: int, reached: tuple[int, ...],
-              done: tuple[int, ...]) -> None:
+              cov: tuple[tuple[int, ...], ...]) -> None:
         # reached[j] holds the columns with more than j zeros so far; a
         # column with a 1 needs zc zeros, i.e. membership in reached[zc-1].
-        # done marks the entries of rows 0..i-1 inside a full pattern copy.
+        # cov is the prefix test's coverage of rows 0..i-1, by prefix length.
         nonlocal nodes, cap
         if i == n:
             if used < cap or not config.enumerate_all_extremal:
@@ -543,7 +550,6 @@ def _branch_and_bound(n: int, pattern: BitMatrix, config: SearchConfig) -> Searc
         # Columns outside reached[last] can no longer reach zc zeros.
         last = zc - 1 - rows_after
         below = (full,) + reached[:-1]
-        done += (0,)
         z = zr
         while z <= min(n, cap - used - rows_after * zr):
             for zmask in candidates[z]:
@@ -560,16 +566,16 @@ def _branch_and_bound(n: int, pattern: BitMatrix, config: SearchConfig) -> Searc
                 if deficit > cap - used - z:
                     continue
                 rows[i] = full ^ zmask
-                nxt_done = _strongly_forcing_rows(rows, i + 1, n, t, prefixes,
-                                                  max(1, s - rows_after), done)
-                if nxt_done is not None:
-                    place(i + 1, used + z, ones, nxt, nxt_done)
+                nxt_cov = _strongly_forcing_rows(rows, i + 1, n, t, prefixes,
+                                                 max(1, s - rows_after), cov)
+                if nxt_cov is not None:
+                    place(i + 1, used + z, ones, nxt, nxt_cov)
                     if z > cap - used - rows_after * zr:
                         return  # a verified leaf lowered the cap below z
             z += 1
 
     try:
-        place(0, 0, 0, (0,) * zc, ())
+        place(0, 0, 0, (0,) * zc, ((),) * (s + 1))
         status = STATUS_EXACT
     except _BudgetExhausted:
         status = STATUS_BUDGET
@@ -594,7 +600,9 @@ class ResultsCache:
     The key is the order, a colon, then the pattern rows as 0/1 text joined
     by "/", e.g. "6:1000/0100/0010/0001". Only exact outcomes are stored;
     entries remember whether they hold the complete extremal level set and
-    the CACHE_VERSION that wrote them.
+    the CACHE_VERSION that wrote them. save re-reads the file just before
+    its write and rename and keeps the entries of keys it lacks; two saves
+    interleaving in that short window can still lose one.
     """
 
     def __init__(self, path: str | Path):
@@ -641,6 +649,8 @@ class ResultsCache:
         # Renaming a finished sibling file over the cache survives a crash.
         tmp = self.path.with_name(f"{self.path.name}.{os.getpid()}.tmp")
         try:
+            if self.path.exists():
+                self.entries = {**json.loads(self.path.read_text()), **self.entries}
             tmp.write_text(json.dumps(self.entries, indent=2, sort_keys=True) + "\n")
             os.replace(tmp, self.path)
         finally:

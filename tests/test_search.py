@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import nonzero_patterns
 from mforce import (
     BitMatrix,
     ResultsCache,
@@ -137,6 +138,19 @@ class TestWitnessDiscipline:
             assert w.ones_count() == out.best_ones
         floor = linear_zero_construction(n, n, p).ones_count()
         assert floor <= out.best_ones <= upper_bound_simple(n, k)
+
+    @settings(max_examples=100, deadline=None)
+    @given(nonzero_patterns(max_rows=2, max_cols=3).flatmap(lambda q: st.tuples(
+        st.just(q), st.integers(max(q.rows, q.cols), 4))))
+    def test_general_extremal_sets_verify_and_match_the_sweep(self, case):
+        q, n = case
+        out = search_max(n, q, SearchConfig(enumerate_all_extremal=True))
+        assert out.status == "exact"
+        for w in out.witnesses:
+            assert is_strongly_forcing(w, q)
+            assert w.ones_count() == out.best_ones
+        assert linear_zero_construction(n, n, q).ones_count() <= out.best_ones
+        assert out.best_ones == oracle_max_strong(n, q)[0]
 
 
 class TestSearchTree:
@@ -302,6 +316,18 @@ class TestResultsCache:
         again = search_max(4, identity(2), cache=cache)
         assert self.payload(again) == self.payload(first)
         assert self.payload(ResultsCache(path).get(4, identity(2))) == self.payload(first)
+
+    def test_concurrent_saves_keep_each_others_entries(self, tmp_path):
+        path = tmp_path / "results.json"
+        first, second = ResultsCache(path), ResultsCache(path)
+        out2, out3 = search_max(4, identity(2)), search_max(4, identity(3))
+        first.put(4, identity(2), out2, all_extremal=False)
+        first.save()
+        second.put(4, identity(3), out3, all_extremal=False)
+        second.save()
+        reloaded = ResultsCache(path)
+        assert self.payload(reloaded.get(4, identity(2))) == self.payload(out2)
+        assert self.payload(reloaded.get(4, identity(3))) == self.payload(out3)
 
     def test_budget_outcomes_are_not_cached(self, tmp_path):
         cache = ResultsCache(tmp_path / "results.json")

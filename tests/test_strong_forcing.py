@@ -1,5 +1,8 @@
 """Strongly forcing matrices: witnesses, constructions, bounds, symmetries."""
 
+import random
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -30,6 +33,7 @@ from mforce import (
     upper_bound_3x3,
     upper_bound_simple,
 )
+from mforce.strong_forcing import _pattern_prefixes, _strongly_forcing_rows
 
 
 class TestFindWitness:
@@ -110,6 +114,61 @@ class TestIsStronglyForcing:
         assert is_strongly_forcing(mat, pattern) == oracle_is_strongly_forcing(
             mat, pattern
         )
+
+
+def literal_prefix_cover(rows, n, pattern, p):
+    """1-entries of rows lying in an exact copy of the pattern's first p rows."""
+    qrows = pattern.bits[:p]
+    cover = set()
+    for row_sel in combinations(range(len(rows)), p):
+        for col_sel in combinations(range(n), pattern.cols):
+            cells = [((r, c), qrow >> x & 1) for r, qrow in zip(row_sel, qrows)
+                     for x, c in enumerate(col_sel)]
+            if all(rows[r] >> c & 1 == bit for (r, c), bit in cells):
+                cover.update(pos for pos, bit in cells if bit)
+    return cover
+
+
+class TestPrefixCoverage:
+    # The search feeds _strongly_forcing_rows one row at a time, with
+    # p_min = max(1, s - rows_after) and the coverage the previous row
+    # returned. Each row here is a random walk down that tree: up to six
+    # random candidates for the next row, keeping the first that passes.
+    # Every verdict must match the prefix-copy definition, and every
+    # carried mark must name an entry that really has such a copy.
+    def test_row_by_row_verdicts_match_the_definition(self):
+        rng = random.Random(8)
+        checked = carried = 0
+        for _ in range(300):
+            s, t = rng.randint(1, 3), rng.randint(1, 3)
+            pattern = BitMatrix(s, t, tuple(rng.getrandbits(t) for _ in range(s)))
+            if pattern.ones_count() == 0:
+                continue
+            m, n = rng.randint(s, 6), rng.randint(t, 6)
+            prefixes = _pattern_prefixes(pattern)
+            rows, cov = [], ((),) * (s + 1)
+            for i in range(m):
+                p_min = max(1, s - (m - 1 - i))
+                for _ in range(6):
+                    cand = rows + [rng.getrandbits(n)]
+                    ones = {(r, c) for r in range(i + 1) for c in range(n) if cand[r] >> c & 1}
+                    literal = [literal_prefix_cover(cand, n, pattern, p)
+                               for p in range(min(s, i + 1) + 1)]
+                    got = _strongly_forcing_rows(cand, i + 1, n, t, prefixes, p_min, cov)
+                    checked += 1
+                    assert (got is not None) == (ones <= set().union(*literal[p_min:])), (
+                        pattern, cand, p_min)
+                    if got is not None:
+                        break
+                else:
+                    break
+                for p in range(p_min, s + 1):
+                    marked = {(r, c) for r, level in enumerate(got[p])
+                              for c in range(n) if level >> c & 1}
+                    assert marked <= set().union(*literal[p:]), (pattern, cand, p)
+                rows, cov = cand, got
+                carried += p_min > 1
+        assert checked > 1000 and carried > 100
 
 
 class TestLinearZeroConstruction:
