@@ -133,6 +133,12 @@ class BitMatrix:
         return f"BitMatrix({self.rows}x{self.cols}, {'/'.join(_row_text(r, self.cols) for r in self.bits)})"
 
 
+def check_fit(m: int, n: int, pattern: BitMatrix) -> None:
+    """Raise ValueError unless the pattern fits inside an m x n matrix."""
+    if m < pattern.rows or n < pattern.cols:
+        raise ValueError(f"pattern {pattern.rows}x{pattern.cols} does not fit in {m}x{n}")
+
+
 def _check_selection(sel: Sequence[int], bound: int, what: str) -> None:
     if len(sel) == 0:
         raise ValueError(f"{what} selection is empty")

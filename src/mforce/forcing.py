@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .bitmatrix import BitMatrix, Position, entrywise_leq, serialize
+from .bitmatrix import BitMatrix, Position, check_fit, entrywise_leq, serialize
 from .patterns import hankel, identity, is_permutation_matrix
 
 
@@ -181,10 +181,7 @@ def _smear(value: int, width: int) -> int:
 def _require_fit(m: int, n: int, pattern: BitMatrix) -> None:
     if pattern.ones_count() == 0:
         raise ValueError("pattern must contain at least one 1-entry")
-    if m < pattern.rows or n < pattern.cols:
-        raise ValueError(
-            f"pattern {pattern.rows}x{pattern.cols} does not fit in {m}x{n}"
-        )
+    check_fit(m, n, pattern)
 
 
 def minimal_forcing(m: int, n: int, pattern: BitMatrix) -> BitMatrix:
@@ -210,10 +207,7 @@ def minimal_forcing(m: int, n: int, pattern: BitMatrix) -> BitMatrix:
 
 def is_forcing(mat: BitMatrix, pattern: BitMatrix) -> bool:
     """True when every pattern-shaped submatrix of mat can be reduced to the pattern."""
-    if mat.rows < pattern.rows or mat.cols < pattern.cols:
-        raise ValueError(
-            f"pattern {pattern.rows}x{pattern.cols} does not fit in {mat.rows}x{mat.cols}"
-        )
+    check_fit(mat.rows, mat.cols, pattern)
     if pattern.ones_count() == 0:
         return True
     return entrywise_leq(minimal_forcing(mat.rows, mat.cols, pattern), mat)

@@ -20,7 +20,7 @@ from itertools import combinations
 from math import comb
 from typing import Iterable, Iterator
 
-from .bitmatrix import BitMatrix, serialize
+from .bitmatrix import BitMatrix, check_fit, serialize
 
 DEFAULT_PLACEMENT_CAP = 10**7
 
@@ -29,50 +29,46 @@ class EnumerationCapError(RuntimeError):
     """Raised when a brute-force enumeration would exceed its cap."""
 
 
-def _check_cap(m: int, n: int, s: int, t: int, cap: int) -> None:
-    total = comb(m, s) * comb(n, t)
-    if total > cap:
+def _check_cap(m: int, n: int, pattern: BitMatrix) -> None:
+    total = comb(m, pattern.rows) * comb(n, pattern.cols)
+    if total > DEFAULT_PLACEMENT_CAP:
         raise EnumerationCapError(
-            f"{total} subset placements exceed the cap of {cap}"
+            f"{total} subset placements exceed the cap of {DEFAULT_PLACEMENT_CAP}"
         )
 
 
-def oracle_minimal_forcing(m: int, n: int, pattern: BitMatrix, cap: int = DEFAULT_PLACEMENT_CAP) -> BitMatrix:
+def oracle_minimal_forcing(m: int, n: int, pattern: BitMatrix) -> BitMatrix:
     """Union of the pattern's 1-entries over every row/column subset placement.
 
     A matrix forces the pattern exactly when it dominates this union, so the
     union is the unique minimum-ones forcing matrix.
     """
-    s, t = pattern.rows, pattern.cols
-    if m < s or n < t:
-        raise ValueError(f"pattern {s}x{t} does not fit in {m}x{n}")
+    check_fit(m, n, pattern)
     if pattern.ones_count() == 0:
         raise ValueError("pattern must contain at least one 1-entry")
-    _check_cap(m, n, s, t, cap)
+    _check_cap(m, n, pattern)
     ones = list(pattern.iter_ones())
     grid = [0] * m
-    for row_sel in combinations(range(m), s):
-        for col_sel in combinations(range(n), t):
+    for row_sel in combinations(range(m), pattern.rows):
+        for col_sel in combinations(range(n), pattern.cols):
             for y, x in ones:
                 grid[row_sel[y]] |= 1 << col_sel[x]
     return BitMatrix(m, n, tuple(grid))
 
 
-def _placements(m: int, n: int, pattern: BitMatrix, cap: int) -> Iterator[tuple[int, int]]:
+def _placements(m: int, n: int, pattern: BitMatrix) -> Iterator[tuple[int, int]]:
     """Yield (window, copy) masks of every placement of pattern in an m x n matrix.
 
     The masks index the row-major flattening (entry (r, c) at bit r * n + c).
-    Placements are produced lazily, so a large cap never builds them all.
+    Placements are produced lazily, after the cap has bounded their number.
     """
-    s, t = pattern.rows, pattern.cols
-    if m < s or n < t:
-        raise ValueError(f"pattern {s}x{t} does not fit in {m}x{n}")
-    _check_cap(m, n, s, t, cap)
-    for col_sel in combinations(range(n), t):
+    check_fit(m, n, pattern)
+    _check_cap(m, n, pattern)
+    for col_sel in combinations(range(n), pattern.cols):
         cols = sum(1 << j for j in col_sel)
         # Each pattern row with its columns moved onto col_sel.
         spread = [sum(1 << j for x, j in enumerate(col_sel) if row >> x & 1) for row in pattern.bits]
-        for row_sel in combinations(range(m), s):
+        for row_sel in combinations(range(m), pattern.rows):
             window = copy = 0
             for r, part in zip(row_sel, spread):
                 window |= cols << (r * n)
@@ -89,18 +85,17 @@ def _covered_by_copies(flat: int, placements: Iterable[tuple[int, int]]) -> bool
     return covered == flat
 
 
-def oracle_is_strongly_forcing(mat: BitMatrix, pattern: BitMatrix, cap: int = DEFAULT_PLACEMENT_CAP) -> bool:
+def oracle_is_strongly_forcing(mat: BitMatrix, pattern: BitMatrix) -> bool:
     """Check by full enumeration that every 1-entry sits inside an exact pattern copy.
 
     Walks all subset placements, collects the 1-entries of each exact copy,
     then demands that they cover every 1-entry of the matrix.
     """
     flat = sum(row << (r * mat.cols) for r, row in enumerate(mat.bits))
-    return _covered_by_copies(flat, _placements(mat.rows, mat.cols, pattern, cap))
+    return _covered_by_copies(flat, _placements(mat.rows, mat.cols, pattern))
 
 
-def oracle_max_strong(n: int, pattern: BitMatrix, allow_slow_sweep: bool = False,
-                      cap: int = DEFAULT_PLACEMENT_CAP) -> tuple[int, list[BitMatrix]]:
+def oracle_max_strong(n: int, pattern: BitMatrix) -> tuple[int, list[BitMatrix]]:
     """Sweep all 2^(n*n) matrices of order n for the strongly-forcing maximum.
 
     Each matrix is its row-major code (row i in bits i*n .. i*n + n - 1). The
@@ -108,14 +103,12 @@ def oracle_max_strong(n: int, pattern: BitMatrix, allow_slow_sweep: bool = False
     or above the best ones count so far is tested against every placement
     with one AND-compare each; nothing is pruned. Returns the maximum ones
     count together with the complete level set of maximizers, sorted by their
-    text form. Orders above 4 are refused unless allow_slow_sweep is set;
-    n = 5 already means 2^25 candidate matrices.
+    text form. Orders above 4 are refused: n = 5 already means 2^25
+    candidate matrices.
     """
-    if n > 5 or (n == 5 and not allow_slow_sweep):
-        raise ValueError(
-            f"full sweep of order {n} is out of range (n <= 4, or n = 5 with allow_slow_sweep)"
-        )
-    placements = list(_placements(n, n, pattern, cap))
+    if n > 4:
+        raise ValueError(f"full sweep of order {n} is out of range (n <= 4)")
+    placements = list(_placements(n, n, pattern))
     best = -1
     codes: list[int] = []
     for code in range(1 << (n * n)):

@@ -9,8 +9,8 @@ One checker does every witness test: after each placed row, the prefix test
 asks that every 1 so far lie in a copy of a long enough prefix of the
 pattern's rows, and after the last row that is strong forcing itself. Its
 coverage is carried down per prefix length: only the new row and entries
-whose copies grew too short are searched, longer prefixes only from anchors
-in their last row.
+whose copies grew too short are searched, one witness search each, in
+which an anchor in pattern row y asks for the first max(p_min, y + 1) rows.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Iterable, Mapping
 
 from .bitmatrix import (
-    BitMatrix, Position, direct_sum, identity, make, parse, serialize,
+    BitMatrix, Position, check_fit, direct_sum, identity, make, parse, serialize,
 )
 from .patterns import is_permutation_matrix, permutation_matrix
 
@@ -62,20 +62,23 @@ def _transversal(cands: list[int]) -> list[int] | None:
     return out
 
 
-def _witness_through(abits, m: int, n: int, qbits, s: int, t: int,
+def _witness_through(abits, m: int, n: int, qbits, p_min: int, t: int,
                      q_ones, r: int, c: int):
-    """Exact pattern copy through 1-entry (r, c), or None.
+    """Exact copy of a pattern prefix through 1-entry (r, c), or None.
 
     Tries every pattern 1-coordinate (y, x) as the anchor for (r, c) in
-    row-major order, then assigns the remaining pattern rows to matrix rows
-    in ascending order while filtering, per pattern column, the mask of
-    matrix columns still consistent with the rows chosen so far. A greedy
+    row-major order. An anchor in pattern row y asks for a copy of the first
+    s = max(p_min, y + 1) pattern rows; with p_min the pattern's height that
+    is the whole pattern. The remaining prefix rows go to matrix rows in
+    ascending order while filtering, per pattern column, the mask of matrix
+    columns still consistent with the rows chosen so far. A greedy
     increasing transversal of those masks certifies column feasibility at
     every step and produces the final column selection.
     """
     full = (1 << n) - 1
     arow_r = abits[r]
     for y, x in q_ones:
+        s = max(p_min, y + 1)
         if r < y or m - 1 - r < s - 1 - y:
             continue
         if c < x or n - 1 - c < t - 1 - x:
@@ -129,10 +132,7 @@ def _witness_through(abits, m: int, n: int, qbits, s: int, t: int,
 def find_witness(mat: BitMatrix, pattern: BitMatrix, pos: Position | tuple[int, int]) -> WitnessEmbedding | None:
     """Deterministic witness for one 1-entry, or None when no exact copy contains it."""
     r, c = pos
-    if mat.rows < pattern.rows or mat.cols < pattern.cols:
-        raise ValueError(
-            f"pattern {pattern.rows}x{pattern.cols} does not fit in {mat.rows}x{mat.cols}"
-        )
+    check_fit(mat.rows, mat.cols, pattern)
     if mat.get(r, c) != 1:
         raise ValueError(f"position ({r + 1}, {c + 1}) is not a 1-entry")
     got = _witness_through(
@@ -144,27 +144,20 @@ def find_witness(mat: BitMatrix, pattern: BitMatrix, pos: Position | tuple[int, 
     return WitnessEmbedding(*got)
 
 
-def _pattern_prefixes(pattern: BitMatrix) -> list[tuple[tuple[int, ...], list, list]]:
-    # Entry p: the pattern's first p rows, their 1-coordinates, and those of row p-1.
-    q_ones = list(pattern.iter_ones())
-    return [(pattern.bits[:p], [(y, x) for y, x in q_ones if y < p],
-             [(y, x) for y, x in q_ones if y == p - 1]) for p in range(pattern.rows + 1)]
-
-
-def _strongly_forcing_rows(abits, m: int, n: int, t: int, prefixes, p_min: int,
+def _strongly_forcing_rows(abits, m: int, n: int, qbits, t: int, q_ones, p_min: int,
                            cov: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...] | None:
     """The prefix test on rows 0..m-1: new coverage, or None when it fails.
 
     Every 1-entry must lie in an exact copy of the pattern's first p rows
-    (prefixes[p], see _pattern_prefixes) inside rows 0..m-1, for some
-    p >= p_min. cov[p][r] marks the entries of row r known to lie in a copy
-    of p or more rows, which no added row can undo: only entries outside
-    cov[p_min] are searched, and each copy found extends cov (rows past its
-    length start empty). A level p > p_min tries only anchors in pattern
-    row p-1, since a longer copy through an earlier anchor truncates to one
-    the shorter level missed. With p_min = s this is strong forcing itself.
+    inside rows 0..m-1, for some p >= p_min. An anchor in pattern row y
+    asks for p = max(p_min, y + 1): a longer copy through an earlier anchor
+    truncates to a shorter one the same search would have found. cov[p][r]
+    marks the entries of row r known to lie in a copy of p or more rows,
+    which no added row can undo: only entries outside cov[p_min] are
+    searched, one matcher call each, and each copy found extends cov (rows
+    past its length start empty). With p_min = s this is strong forcing
+    itself.
     """
-    s = len(prefixes) - 1
     cov = [list(level) + [0] * (m - len(level)) for level in cov]
     seen = cov[p_min]
     for r in range(m):
@@ -174,17 +167,14 @@ def _strongly_forcing_rows(abits, m: int, n: int, t: int, prefixes, p_min: int,
             row ^= low
             if seen[r] & low:
                 continue
-            c = low.bit_length() - 1
-            for p in range(p_min, min(s, m) + 1):
-                qbits, q_ones, row_ones = prefixes[p]
-                anchors = q_ones if p == p_min else row_ones
-                got = _witness_through(abits, m, n, qbits, p, t, anchors, r, c)
-                if got is not None:
-                    break
-            else:
+            got = _witness_through(abits, m, n, qbits, p_min, t, q_ones, r, low.bit_length() - 1)
+            if got is None:
                 return None
             rows_sel, cols_sel = got
+            p = len(rows_sel)
             for y, x in q_ones:
+                if y >= p:
+                    break
                 for level in cov[p_min:p + 1]:
                     level[rows_sel[y]] |= 1 << cols_sel[x]
     return tuple(map(tuple, cov))
@@ -195,12 +185,9 @@ def is_strongly_forcing(mat: BitMatrix, pattern: BitMatrix) -> bool:
 
     An all-zero matrix passes vacuously, whatever the pattern.
     """
-    if mat.rows < pattern.rows or mat.cols < pattern.cols:
-        raise ValueError(
-            f"pattern {pattern.rows}x{pattern.cols} does not fit in {mat.rows}x{mat.cols}"
-        )
+    check_fit(mat.rows, mat.cols, pattern)
     return _strongly_forcing_rows(
-        mat.bits, mat.rows, mat.cols, pattern.cols, _pattern_prefixes(pattern),
+        mat.bits, mat.rows, mat.cols, pattern.bits, pattern.cols, list(pattern.iter_ones()),
         pattern.rows, ((),) * (pattern.rows + 1),
     ) is not None
 
@@ -220,8 +207,7 @@ def linear_zero_construction(m: int, n: int, pattern: BitMatrix) -> BitMatrix:
     s, t = pattern.rows, pattern.cols
     if pattern.ones_count() == 0:
         raise ValueError("pattern must contain at least one 1-entry")
-    if m < s or n < t:
-        raise ValueError(f"pattern {s}x{t} does not fit in {m}x{n}")
+    check_fit(m, n, pattern)
     rr = 0
     while pattern.bits[rr] == 0:
         rr += 1
@@ -469,8 +455,8 @@ def search_max(n: int, pattern: BitMatrix, config: SearchConfig | None = None,
     of a real copy at or above row i are such a prefix. After the last row
     that is the strong-forcing test itself. Each node passes down, per
     prefix length, the entries known to lie in such copies, so only new or
-    stale entries are searched, longer prefixes only from anchors in their
-    last row (see _strongly_forcing_rows). The cap starts at the
+    stale entries are searched, once each, with a prefix length that follows
+    from the anchor row (see _strongly_forcing_rows). The cap starts at the
     construction floor and tightens at every verified matrix, so the last
     level found is the maximum and status "exact" certifies it. A budget
     cut returns the best verified matrix so far, never below the
@@ -485,8 +471,7 @@ def search_max(n: int, pattern: BitMatrix, config: SearchConfig | None = None,
     s, t = pattern.rows, pattern.cols
     if pattern.ones_count() == 0:
         raise ValueError("pattern must contain at least one 1-entry")
-    if n < s or n < t:
-        raise ValueError(f"pattern {s}x{t} does not fit in {n}x{n}")
+    check_fit(n, n, pattern)
     if n > 16:
         raise ValueError("exact search supports orders up to 16")
 
@@ -520,7 +505,7 @@ def _branch_and_bound(n: int, pattern: BitMatrix, config: SearchConfig) -> Searc
 
     full = (1 << n) - 1
     s, t = pattern.rows, pattern.cols
-    prefixes = _pattern_prefixes(pattern)
+    q_ones = list(pattern.iter_ones())
 
     # Candidate zero masks by zero count, each list in increasing mask order.
     candidates: list[list[int]] = [[] for _ in range(n + 1)]
@@ -566,7 +551,7 @@ def _branch_and_bound(n: int, pattern: BitMatrix, config: SearchConfig) -> Searc
                 if deficit > cap - used - z:
                     continue
                 rows[i] = full ^ zmask
-                nxt_cov = _strongly_forcing_rows(rows, i + 1, n, t, prefixes,
+                nxt_cov = _strongly_forcing_rows(rows, i + 1, n, pattern.bits, t, q_ones,
                                                  max(1, s - rows_after), cov)
                 if nxt_cov is not None:
                     place(i + 1, used + z, ones, nxt, nxt_cov)
@@ -594,6 +579,23 @@ def _branch_and_bound(n: int, pattern: BitMatrix, config: SearchConfig) -> Searc
 CACHE_VERSION = 2
 
 
+def _decode_entry(entry) -> SearchOutcome | None:
+    # The exact outcome a current-version entry stores, or None when it is
+    # not a dict or a field is missing, mistyped or unparsable.
+    if not isinstance(entry, dict):
+        return None
+    texts, best, nodes = entry.get("witnesses"), entry.get("best_ones"), entry.get("nodes_explored")
+    if not (entry.get("version") == CACHE_VERSION and entry.get("status") == STATUS_EXACT
+            and isinstance(texts, list) and all(isinstance(text, str) for text in texts)
+            and type(best) is int and type(nodes) is int):
+        return None
+    try:
+        witnesses = tuple(parse(text) for text in texts)
+    except ValueError:
+        return None
+    return SearchOutcome(STATUS_EXACT, best, witnesses, nodes, 0.0)
+
+
 class ResultsCache:
     """JSON-backed store of exact search outcomes, keyed by order and pattern.
 
@@ -602,14 +604,19 @@ class ResultsCache:
     entries remember whether they hold the complete extremal level set and
     the CACHE_VERSION that wrote them. save re-reads the file just before
     its write and rename and keeps the entries of keys it lacks; two saves
-    interleaving in that short window can still lose one.
+    interleaving in that short window can still lose one. A file that is
+    not one JSON object is refused with ValueError and never overwritten.
     """
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
-        self.entries: dict[str, dict] = {}
-        if self.path.exists():
-            self.entries = json.loads(self.path.read_text())
+        self.entries: dict[str, dict] = self._read() if self.path.exists() else {}
+
+    def _read(self) -> dict:
+        entries = json.loads(self.path.read_text())
+        if not isinstance(entries, dict):
+            raise ValueError(f"cache file {self.path} does not hold a JSON object")
+        return entries
 
     @staticmethod
     def key(n: int, pattern: BitMatrix) -> str:
@@ -619,25 +626,17 @@ class ResultsCache:
         """The stored outcome, or None; elapsed is this lookup's own time."""
         start = time.monotonic()
         entry = self.entries.get(self.key(n, pattern))
-        if entry is None or entry.get("version") != CACHE_VERSION:
-            return None
-        if need_all_extremal and not entry.get("all_extremal", False):
+        hit = _decode_entry(entry)
+        if hit is None or (need_all_extremal and entry.get("all_extremal") is not True):
             return None
         # An entry is trusted only when every witness still verifies at its
         # stated ones count; anything else is searched again.
-        witnesses = tuple(parse(text) for text in entry["witnesses"])
-        if not witnesses or not all(
-            (w.rows, w.cols) == (n, n) and w.ones_count() == entry["best_ones"]
-            and is_strongly_forcing(w, pattern) for w in witnesses
+        if not hit.witnesses or not all(
+            (w.rows, w.cols) == (n, n) and w.ones_count() == hit.best_ones
+            and is_strongly_forcing(w, pattern) for w in hit.witnesses
         ):
             return None
-        return SearchOutcome(
-            status=entry["status"],
-            best_ones=entry["best_ones"],
-            witnesses=witnesses,
-            nodes_explored=entry["nodes_explored"],
-            elapsed=time.monotonic() - start,
-        )
+        return replace(hit, elapsed=time.monotonic() - start)
 
     def put(self, n: int, pattern: BitMatrix, outcome: SearchOutcome, all_extremal: bool) -> None:
         record = outcome.to_json_dict()
@@ -650,7 +649,7 @@ class ResultsCache:
         tmp = self.path.with_name(f"{self.path.name}.{os.getpid()}.tmp")
         try:
             if self.path.exists():
-                self.entries = {**json.loads(self.path.read_text()), **self.entries}
+                self.entries = {**self._read(), **self.entries}
             tmp.write_text(json.dumps(self.entries, indent=2, sort_keys=True) + "\n")
             os.replace(tmp, self.path)
         finally:

@@ -240,6 +240,15 @@ class TestSearch:
         assert first["nodes_explored"] == second["nodes_explored"]
         assert first["witnesses"] == second["witnesses"]
 
+    def test_cache_file_that_is_not_an_object_exits_2(self, capsys, tmp_path):
+        cache = tmp_path / "cache.json"
+        cache.write_text("[]\n")
+        code, out, err = run_cli(capsys, "search", "--n", "4", "--pattern", "i3",
+                                 "--cache", str(cache))
+        assert code == 2
+        assert out == "" and "error:" in err
+        assert cache.read_text() == "[]\n"
+
     def test_budget_status_passes_through(self, capsys):
         code, out, _ = run_cli(capsys, "search", "--n", "5", "--pattern", "i3",
                                "--node-budget", "1")

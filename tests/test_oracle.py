@@ -45,7 +45,7 @@ class TestMinimalForcingOracle:
 
     def test_cap_guard(self):
         with pytest.raises(EnumerationCapError):
-            oracle_minimal_forcing(40, 40, identity(10), cap=10**4)
+            oracle_minimal_forcing(40, 40, identity(10))
 
 
 class TestStronglyForcingOracle:
@@ -66,7 +66,7 @@ class TestStronglyForcingOracle:
 
     def test_cap_guard(self):
         with pytest.raises(EnumerationCapError):
-            oracle_is_strongly_forcing(make(40, 40, 0), identity(10), cap=10**4)
+            oracle_is_strongly_forcing(make(40, 40, 0), identity(10))
 
     @pytest.mark.parametrize("rows, cols", [(3, 4), (4, 3)])
     @pytest.mark.parametrize("pattern", [identity(2), parse("100\n011\n")], ids=["i2", "100/011"])
@@ -110,13 +110,10 @@ class TestMaxStrongSweep:
         assert keys == sorted(keys)
         assert len(set(level)) == len(level)
 
-    def test_order_5_requires_flag(self):
-        with pytest.raises(ValueError):
-            oracle_max_strong(5, identity(2))
-
-    def test_order_above_5_refused_even_with_flag(self):
-        with pytest.raises(ValueError):
-            oracle_max_strong(6, identity(2), allow_slow_sweep=True)
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_orders_above_4_are_refused(self, n):
+        with pytest.raises(ValueError, match="out of range"):
+            oracle_max_strong(n, identity(2))
 
     def test_pattern_must_fit(self):
         with pytest.raises(ValueError):

@@ -298,14 +298,22 @@ class TestResultsCache:
         ("best_ones", 13),
         ("version", CACHE_VERSION - 1),  # written by an older search
         ("version", None),  # None deletes the field
+        ("witnesses", None),
+        ("witnesses", ["4 4\n1110\n11x1\n1011\n0111\n"]),  # does not parse
+        ("witnesses", serialize(extremal_2x2(4, "i2"))),  # text, not a list of texts
+        ("nodes_explored", "12"),
+        (None, [serialize(extremal_2x2(4, "i2"))]),  # field None replaces the whole entry
     ], ids=["witness-not-forcing", "witness-wrong-order", "no-witness", "ones-count-mismatch",
-            "version-older", "version-missing"])
+            "version-older", "version-missing", "witnesses-missing", "witness-unparsable",
+            "witnesses-not-a-list", "nodes-not-an-int", "entry-not-an-object"])
     def test_entry_that_fails_to_verify_is_searched_again(self, tmp_path, field, value):
         path = tmp_path / "results.json"
         first = search_max(4, identity(2), cache=ResultsCache(path))
         entries = json.loads(path.read_text())
         entry = entries[ResultsCache.key(4, identity(2))]
-        if value is None:
+        if field is None:
+            entries[ResultsCache.key(4, identity(2))] = value
+        elif value is None:
             del entry[field]
         else:
             entry[field] = value
@@ -316,6 +324,17 @@ class TestResultsCache:
         again = search_max(4, identity(2), cache=cache)
         assert self.payload(again) == self.payload(first)
         assert self.payload(ResultsCache(path).get(4, identity(2))) == self.payload(first)
+
+    def test_file_that_is_not_an_object_is_refused_and_kept(self, tmp_path):
+        path = tmp_path / "results.json"
+        cache = ResultsCache(path)
+        path.write_text("[1, 2]\n")  # another run writes a list before this one saves
+        with pytest.raises(ValueError):
+            ResultsCache(path)
+        with pytest.raises(ValueError):
+            search_max(4, identity(2), cache=cache)
+        assert path.read_text() == "[1, 2]\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["results.json"]
 
     def test_concurrent_saves_keep_each_others_entries(self, tmp_path):
         path = tmp_path / "results.json"

@@ -33,7 +33,7 @@ from mforce import (
     upper_bound_3x3,
     upper_bound_simple,
 )
-from mforce.strong_forcing import _pattern_prefixes, _strongly_forcing_rows
+from mforce.strong_forcing import _strongly_forcing_rows
 
 
 class TestFindWitness:
@@ -67,6 +67,34 @@ class TestFindWitness:
             find_witness(identity(3), identity(2), (0, 1))
         with pytest.raises(ValueError):
             find_witness(identity(2), identity(3), (0, 0))
+
+    def test_order_matches_a_literal_search(self):
+        # The first pattern 1 in row-major order that admits a copy through
+        # the entry, then the least row and least column selections by
+        # itertools order: the witness the CLI prints must not drift.
+        def literal(mat, pattern, r, c):
+            for y, x in pattern.iter_ones():
+                for row_sel in combinations(range(mat.rows), pattern.rows):
+                    if row_sel[y] != r:
+                        continue
+                    for col_sel in combinations(range(mat.cols), pattern.cols):
+                        if col_sel[x] == c and mat.submatrix(row_sel, col_sel) == pattern:
+                            return WitnessEmbedding(row_sel, col_sel)
+            return None
+
+        rng = random.Random(9)
+        found = missing = 0
+        for _ in range(600):
+            s, t = rng.randint(1, 3), rng.randint(1, 3)
+            pattern = BitMatrix(s, t, tuple(rng.getrandbits(t) for _ in range(s)))
+            m, n = rng.randint(s, 6), rng.randint(t, 6)
+            mat = BitMatrix(m, n, tuple(rng.getrandbits(n) for _ in range(m)))
+            for pos in mat.iter_ones():
+                want = literal(mat, pattern, *pos)
+                assert find_witness(mat, pattern, pos) == want, (mat, pattern, pos)
+                found += want is not None
+                missing += want is None
+        assert found > 1000 and missing > 2000
 
     def test_json_positions_are_one_based(self):
         emb = WitnessEmbedding((0, 2), (1, 3))
@@ -145,7 +173,7 @@ class TestPrefixCoverage:
             if pattern.ones_count() == 0:
                 continue
             m, n = rng.randint(s, 6), rng.randint(t, 6)
-            prefixes = _pattern_prefixes(pattern)
+            q_ones = list(pattern.iter_ones())
             rows, cov = [], ((),) * (s + 1)
             for i in range(m):
                 p_min = max(1, s - (m - 1 - i))
@@ -154,7 +182,7 @@ class TestPrefixCoverage:
                     ones = {(r, c) for r in range(i + 1) for c in range(n) if cand[r] >> c & 1}
                     literal = [literal_prefix_cover(cand, n, pattern, p)
                                for p in range(min(s, i + 1) + 1)]
-                    got = _strongly_forcing_rows(cand, i + 1, n, t, prefixes, p_min, cov)
+                    got = _strongly_forcing_rows(cand, i + 1, n, pattern.bits, t, q_ones, p_min, cov)
                     checked += 1
                     assert (got is not None) == (ones <= set().union(*literal[p_min:])), (
                         pattern, cand, p_min)
