@@ -25,7 +25,6 @@ from .forcing import (
     is_forcing,
     min_ones,
     minimal_forcing,
-    minimal_forcing_from_corners,
 )
 from .patterns import named
 from .strong_forcing import (
@@ -167,7 +166,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
         return value
 
     if which == "a-mnq":
-        matrix = minimal_forcing_from_corners(need("m"), need("n"), load_pattern(need("pattern")))
+        matrix = minimal_forcing(need("m"), need("n"), load_pattern(need("pattern")))
     elif which == "s-n":
         matrix = extremal_123_witness(need("n"))
     elif which == "t-n":

@@ -48,84 +48,72 @@ class WitnessEmbedding:
         }
 
 
-def _transversal(cands: list[int]) -> list[int] | None:
-    # Greedy smallest increasing pick, one column per candidate mask.
-    # Succeeds whenever any increasing transversal exists.
-    prev = -1
-    out = []
-    for mask in cands:
-        avail = mask >> (prev + 1)
-        if avail == 0:
-            return None
-        prev += (avail & -avail).bit_length()
-        out.append(prev)
-    return out
-
-
-def _witness_through(abits, m: int, n: int, qbits, p_min: int, t: int,
-                     q_ones, r: int, c: int):
+def _witness_through(abits, m: int, n: int, qbits, t: int, q_ones, p_min: int,
+                     r: int, c: int):
     """Exact copy of a pattern prefix through 1-entry (r, c), or None.
 
     Tries every pattern 1-coordinate (y, x) as the anchor for (r, c) in
     row-major order. An anchor in pattern row y asks for a copy of the first
     s = max(p_min, y + 1) pattern rows; with p_min the pattern's height that
     is the whole pattern. The remaining prefix rows go to matrix rows in
-    ascending order while filtering, per pattern column, the mask of matrix
-    columns still consistent with the rows chosen so far. A greedy
-    increasing transversal of those masks certifies column feasibility at
-    every step and produces the final column selection.
+    ascending order. Each row tried takes one pass over the pattern columns:
+    it narrows column j's mask of matrix columns still consistent with the
+    rows chosen so far and picks the smallest of them above column j-1's
+    pick, rejecting the row as soon as none is left. That greedy pick is the
+    least increasing column selection, which exists whenever any does; the
+    picks are carried down with the masks, so the last accepted row's picks
+    are the copy's columns.
     """
     full = (1 << n) - 1
     arow_r = abits[r]
     for y, x in q_ones:
         s = max(p_min, y + 1)
-        if r < y or m - 1 - r < s - 1 - y:
-            continue
-        if c < x or n - 1 - c < t - 1 - x:
+        if r < y or m - 1 - r < s - 1 - y or c < x or n - 1 - c < t - 1 - x:
             continue
         qrow = qbits[y]
-        cands = []
+        masks, picks, col = [], [], -1
         for j in range(t):
             mask = arow_r if (qrow >> j) & 1 else ~arow_r & full
             if j == x:
                 mask &= 1 << c
-            if mask == 0:
-                cands = None
+            avail = mask >> (col + 1)
+            if avail == 0:
                 break
-            cands.append(mask)
-        if cands is None or _transversal(cands) is None:
-            continue
+            col += (avail & -avail).bit_length()
+            masks.append(mask)
+            picks.append(col)
+        else:
+            rows_sel = [0] * s
+            rows_sel[y] = r
 
-        rows_sel = [0] * s
-        rows_sel[y] = r
+            def assign(i: int, prev: int, masks: list[int], picks: list[int]):
+                if i == s:
+                    return picks
+                if i == y:
+                    return assign(i + 1, r, masks, picks)
+                hi = r - (y - i) if i < y else m - (s - i)
+                qrow_i = qbits[i]
+                for rr in range(prev + 1, hi + 1):
+                    arow = abits[rr]
+                    nxt, nxt_picks, col = [], [], -1
+                    for j in range(t):
+                        mask = masks[j] & (arow if (qrow_i >> j) & 1 else ~arow & full)
+                        avail = mask >> (col + 1)
+                        if avail == 0:
+                            break
+                        col += (avail & -avail).bit_length()
+                        nxt.append(mask)
+                        nxt_picks.append(col)
+                    else:
+                        rows_sel[i] = rr
+                        got = assign(i + 1, rr, nxt, nxt_picks)
+                        if got is not None:
+                            return got
+                return None
 
-        def assign(i: int, prev: int, masks: list[int]):
-            if i == s:
-                return _transversal(masks)
-            if i == y:
-                return assign(i + 1, r, masks)
-            hi = r - (y - i) if i < y else m - (s - i)
-            qrow_i = qbits[i]
-            for rr in range(prev + 1, hi + 1):
-                arow = abits[rr]
-                nxt = []
-                for j in range(t):
-                    mask = masks[j] & (arow if (qrow_i >> j) & 1 else ~arow & full)
-                    if mask == 0:
-                        nxt = None
-                        break
-                    nxt.append(mask)
-                if nxt is None or _transversal(nxt) is None:
-                    continue
-                rows_sel[i] = rr
-                got = assign(i + 1, rr, nxt)
-                if got is not None:
-                    return got
-            return None
-
-        cols = assign(0, -1, cands)
-        if cols is not None:
-            return tuple(rows_sel), tuple(cols)
+            cols = assign(0, -1, masks, picks)
+            if cols is not None:
+                return tuple(rows_sel), tuple(cols)
     return None
 
 
@@ -136,8 +124,8 @@ def find_witness(mat: BitMatrix, pattern: BitMatrix, pos: Position | tuple[int, 
     if mat.get(r, c) != 1:
         raise ValueError(f"position ({r + 1}, {c + 1}) is not a 1-entry")
     got = _witness_through(
-        mat.bits, mat.rows, mat.cols, pattern.bits, pattern.rows, pattern.cols,
-        list(pattern.iter_ones()), r, c,
+        mat.bits, mat.rows, mat.cols, pattern.bits, pattern.cols,
+        list(pattern.iter_ones()), pattern.rows, r, c,
     )
     if got is None:
         return None
@@ -167,7 +155,7 @@ def _strongly_forcing_rows(abits, m: int, n: int, qbits, t: int, q_ones, p_min: 
             row ^= low
             if seen[r] & low:
                 continue
-            got = _witness_through(abits, m, n, qbits, p_min, t, q_ones, r, low.bit_length() - 1)
+            got = _witness_through(abits, m, n, qbits, t, q_ones, p_min, r, low.bit_length() - 1)
             if got is None:
                 return None
             rows_sel, cols_sel = got
@@ -468,7 +456,6 @@ def search_max(n: int, pattern: BitMatrix, config: SearchConfig | None = None,
     rejects; it is deterministic.
     """
     config = config or SearchConfig()
-    s, t = pattern.rows, pattern.cols
     if pattern.ones_count() == 0:
         raise ValueError("pattern must contain at least one 1-entry")
     check_fit(n, n, pattern)

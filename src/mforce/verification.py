@@ -161,13 +161,10 @@ def suite_perm_bounds(n_max: int | None = None, k_max: int = 5) -> Iterator[Clai
     for k in range(1, k_max + 1):
         n = 2 * k + 2
         formula = perm_max_m(n, k)
-        best = max(min_ones(n, n, p).value for p in all_permutation_matrices(k))
-        classified = True
-        if k >= 4:
-            classified = all(
-                perm_max_extremal(p) == (min_ones(n, n, p).value == best)
-                for p in all_permutation_matrices(k)
-            )
+        values = {p: min_ones(n, n, p).value for p in all_permutation_matrices(k)}
+        best = max(values.values())
+        classified = k < 4 or all(perm_max_extremal(p) == (value == best)
+                                  for p, value in values.items())
         expected = f"max {formula}" + (", quadruple classification" if k >= 4 else "")
         actual = f"max {best}" + (
             (", quadruple classification" if classified else ", misclassified") if k >= 4 else ""

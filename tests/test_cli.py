@@ -173,6 +173,16 @@ class TestConstruct:
         assert code == 0
         assert out == load("example_minimal_14x12.txt")
 
+    def test_a_mnq_below_corner_assembly_matches_min(self, capsys):
+        # 5x5 is below the 2s x 2t corner assembly for a 3x3 pattern.
+        code, out, _ = run_cli(capsys, "construct", "a-mnq", "--m", "5", "--n", "5",
+                               "--pattern", "i3")
+        assert code == 0
+        code, want, _ = run_cli(capsys, "min", "--m", "5", "--n", "5", "--pattern", "i3",
+                                "--emit", "matrix")
+        assert code == 0
+        assert out == want
+
     def test_linear_zero(self, capsys):
         code, out, _ = run_cli(capsys, "construct", "linear-zero",
                                "--m", "10", "--n", "10", "--pattern", "i2")

@@ -62,10 +62,14 @@ class TestExactValues:
         assert out.best_ones == 13
         assert is_strongly_forcing(out.witnesses[0], named("b3"))
 
-    @pytest.mark.parametrize("k, best", [(6, 10), pytest.param(5, 15, marks=pytest.mark.slow)])
-    def test_order_7_identity_meets_conjecture(self, k, best):
+    @pytest.mark.parametrize("k, best, nodes", [
+        pytest.param(6, 10, 2_596, id="6-10"),
+        pytest.param(5, 15, 212_222, id="5-15", marks=pytest.mark.slow),
+    ])
+    def test_order_7_identity_meets_conjecture(self, k, best, nodes):
+        # nodes_explored pins the search tree at the n = 7 frontier.
         out = search_max(7, identity(k))
-        assert (out.status, out.best_ones) == ("exact", best)
+        assert (out.status, out.best_ones, out.nodes_explored) == ("exact", best, nodes)
         assert best == conjectured_max_identity(7, k)
         assert is_strongly_forcing(out.witnesses[0], identity(k))
 
