@@ -18,7 +18,7 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .bitmatrix import BitMatrix, MatrixFormatError, direct_sum, make, parse, serialize
+from .bitmatrix import BitMatrix, MatrixFormatError, direct_sum, identity, parse, serialize
 from .forcing import (
     core,
     corner_functions,
@@ -30,7 +30,6 @@ from .patterns import named
 from .strong_forcing import (
     ResultsCache,
     SearchConfig,
-    extremal_123_witness,
     extremal_132_witness,
     extremal_2x2,
     extremal_identity_witness,
@@ -38,6 +37,7 @@ from .strong_forcing import (
     is_strongly_forcing,
     linear_zero_construction,
     search_max,
+    split_witness,
 )
 from .verification import FAIL, SUITES, run_suite
 
@@ -150,12 +150,6 @@ def cmd_check(args: argparse.Namespace) -> int:
     return 0 if verdict else 1
 
 
-def _identity_witness_block(n: int, k: int) -> BitMatrix:
-    if k == 1:
-        return make(n, n, 1)
-    return extremal_identity_witness(n, k)
-
-
 def cmd_construct(args: argparse.Namespace) -> int:
     which = args.which
 
@@ -168,7 +162,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
     if which == "a-mnq":
         matrix = minimal_forcing(need("m"), need("n"), load_pattern(need("pattern")))
     elif which == "s-n":
-        matrix = extremal_123_witness(need("n"))
+        matrix = extremal_identity_witness(need("n"), 3)
     elif which == "t-n":
         matrix = extremal_132_witness(need("n"))
     elif which == "s-nk":
@@ -179,8 +173,8 @@ def cmd_construct(args: argparse.Namespace) -> int:
         matrix = extremal_2x2(need("n"), args.variant)
     else:
         matrix = direct_sum(
-            _identity_witness_block(need("n1"), need("k1")),
-            _identity_witness_block(need("n2"), need("k2")),
+            split_witness(need("n1"), identity(need("k1"))),
+            split_witness(need("n2"), identity(need("k2"))),
         )
     text = serialize(matrix)
     if args.out:

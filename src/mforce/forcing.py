@@ -220,6 +220,7 @@ def minimal_forcing_from_corners(m: int, n: int, pattern: BitMatrix) -> BitMatri
     the pattern into the matching corner block, and zero the border bands
     matching the pattern's all-zero boundary rows and columns. Equals
     minimal_forcing on its whole domain, without touching window unions.
+    A tested paper result, not exported from the package.
     """
     _require_fit(m, n, pattern)
     s, t = pattern.rows, pattern.cols

@@ -11,6 +11,9 @@ pattern's rows, and after the last row that is strong forcing itself. Its
 coverage is carried down per prefix length: only the new row and entries
 whose copies grew too short are searched, one witness search each, in
 which an anchor in pattern row y asks for the first max(p_min, y + 1) rows.
+The search starts from a construction floor. For a separable permutation
+that is split_witness, one stacking rule: direct sums of the parts'
+witnesses, with skew sums built through a row reversal.
 """
 
 from __future__ import annotations
@@ -20,12 +23,12 @@ import os
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .bitmatrix import (
     BitMatrix, Position, check_fit, direct_sum, identity, make, parse, serialize,
 )
-from .patterns import is_permutation_matrix, permutation_matrix
+from .patterns import is_permutation_matrix, permutation_matrix, permutation_of
 
 STATUS_EXACT = "exact"
 STATUS_BUDGET = "budget_exhausted"
@@ -231,35 +234,88 @@ def extremal_2x2(n: int, variant: str = "i2") -> BitMatrix:
     return BitMatrix(n, n, rows)
 
 
+def split_witness(n: int, pattern: BitMatrix) -> BitMatrix | None:
+    """Strongly forcing n x n witness for a separable permutation, else None.
+
+    Base cases: all ones for the 1 x 1 pattern, extremal_2x2(n, "i2") for
+    12. A permutation whose first c rows map onto its first c columns is a
+    direct sum, forced by the direct sum of its parts' witnesses. One with
+    no such cut gets the row reversal of its row reversal's witness; that
+    reversal has a cut exactly when the permutation is a skew sum. Ties
+    keep the first best cut c, then part order n1 of n1 + n2 = n, both
+    increasing. Ones counts are compared first; only the best is built.
+    """
+    check_fit(n, n, pattern)
+    if not is_permutation_matrix(pattern):
+        return None
+    # plan[perm, m]: (ones, c, m1) for the best split of perm at order m,
+    # with c = 0 for the row reversal; None when perm is not separable.
+    plan: dict[tuple[tuple[int, ...], int], tuple[int, int, int] | None] = {}
+
+    def cuts(perm: tuple[int, ...]) -> list[int]:
+        return [c for c in range(1, len(perm)) if max(perm[:c]) == c - 1]
+
+    def best(perm: tuple[int, ...], m: int) -> int | None:
+        key = (perm, m)
+        if key not in plan:
+            k, got = len(perm), None
+            if k == 1:
+                got = (m * m, 0, 0)
+            elif perm == (0, 1):
+                got = (m * m - m, 0, 0)
+            elif split := cuts(perm):
+                # best(perm, m) is convex in m: m^2 and m^2 - m are, and a
+                # split's value is then the larger of its two end-point sums,
+                # each convex in m. The sum over m1 is convex too, so its
+                # first maximum lies at an end of the range.
+                for c in split:
+                    left, right = perm[:c], tuple(x - c for x in perm[c:])
+                    for m1 in (c, m - (k - c)):
+                        a, b = best(left, m1), best(right, m - m1)
+                        if a is None or b is None:
+                            break
+                        if got is None or a + b > got[0]:
+                            got = (a + b, c, m1)
+            elif cuts(perm[::-1]):
+                ones = best(perm[::-1], m)
+                got = None if ones is None else (ones, 0, 0)
+            plan[key] = got
+        return None if plan[key] is None else plan[key][0]
+
+    def build(perm: tuple[int, ...], m: int) -> BitMatrix:
+        _, c, m1 = plan[perm, m]
+        if len(perm) == 1:
+            return make(m, m, 1)
+        if perm == (0, 1):
+            return extremal_2x2(m, "i2")
+        if c == 0:
+            return build(perm[::-1], m).reflect_h()
+        return direct_sum(build(perm[:c], m1), build(tuple(x - c for x in perm[c:]), m - m1))
+
+    perm = permutation_of(pattern)
+    return None if best(perm, n) is None else build(perm, n)
+
+
 def extremal_identity_witness(n: int, k: int) -> BitMatrix:
     """Strongly forcing witness for the k x k identity meeting the conjectured maximum.
 
-    A (k-2) x (k-2) identity block followed by an all-ones block with its
-    anti-diagonal zeroed. Ones count is n^2 - (2k-3)n - (2k - k^2).
+    The split witness: a (k-2) x (k-2) identity block, then an all-ones block
+    with its anti-diagonal zeroed. Ones count is n^2 - (2k-3)n - (2k - k^2).
     """
     if k < 2 or n < k:
         raise ValueError("construction needs n >= k >= 2")
-    tail = extremal_2x2(n - k + 2, "i2")
-    if k == 2:
-        return tail
-    return direct_sum(identity(k - 2), tail)
+    return split_witness(n, identity(k))
 
 
 def extremal_132_witness(n: int) -> BitMatrix:
     """Strongly forcing witness for the 3x3 permutation 132 with n^2 - 3n + 3 ones.
 
-    A single 1 followed by an all-ones block with its main diagonal zeroed.
-    Witnesses for the other patterns in the 132 dihedral class (213, 231,
-    312) are its images under the corresponding symmetry.
+    The split witness of 1 + 21: a single 1 followed by an all-ones block
+    with its main diagonal zeroed.
     """
     if n < 3:
         raise ValueError("order must be at least 3")
-    return direct_sum(make(1, 1, 1), extremal_2x2(n - 1, "h2"))
-
-
-def extremal_123_witness(n: int) -> BitMatrix:
-    """Strongly forcing witness for the 3x3 identity with n^2 - 3n + 3 ones."""
-    return extremal_identity_witness(n, 3)
+    return split_witness(n, permutation_matrix((0, 2, 1)))
 
 
 # -- bounds ---------------------------------------------------------------------
@@ -288,30 +344,6 @@ def conjectured_max_identity(n: int, k: int) -> int:
     if k < 2 or n < k:
         raise ValueError("formula needs n >= k >= 2")
     return n * n - (2 * k - 3) * n - (2 * k - k * k)
-
-
-def recurrence_lower_bound(n: int, k: int, table: Mapping[tuple[int, int], int]) -> int | None:
-    """Best block-diagonal split bound for the k x k identity in an n x n ambient.
-
-    Two strongly forcing blocks for smaller identities stack into one for
-    their direct sum, so max over n1 + n2 = n, k1 + k2 = k with 1 <= ki <= ni
-    of table[n1, k1] + table[n2, k2] bounds the maximum from below. Returns
-    None for k = 1, which admits no split.
-    """
-    if k < 1 or n < k:
-        raise ValueError("recurrence needs n >= k >= 1")
-    best: int | None = None
-    for k1 in range(1, k):
-        k2 = k - k1
-        for n1 in range(k1, n - k2 + 1):
-            n2 = n - n1
-            for key in ((n1, k1), (n2, k2)):
-                if key not in table:
-                    raise KeyError(f"recurrence table is missing entry {key}")
-            value = table[n1, k1] + table[n2, k2]
-            if best is None or value > best:
-                best = value
-    return best
 
 
 # -- dihedral symmetries ----------------------------------------------------------
@@ -411,24 +443,15 @@ def _min_zero_demand(pattern: BitMatrix) -> tuple[int, int]:
 def _baseline_witness(n: int, pattern: BitMatrix) -> BitMatrix:
     """Best known-by-construction strongly forcing matrix, checked before use.
 
-    Construction witnesses for a base pattern transfer to every member of
-    its dihedral class: when g maps the pattern onto the base, the inverse
-    image of the base witness strongly forces the pattern.
+    The candidates are the all-zero matrix, the linear-zero construction and,
+    for a separable permutation, its split witness; the first with the most
+    ones wins.
     """
-    candidates = [make(n, n, 0), linear_zero_construction(n, n, pattern)]
-    k = pattern.rows
-    bases: list[tuple[BitMatrix, BitMatrix]] = []
-    if pattern.rows == pattern.cols and is_permutation_matrix(pattern) and n >= k >= 2:
-        bases.append((identity(k), extremal_identity_witness(n, k)))
-        if k == 3:
-            bases.append((permutation_matrix((0, 2, 1)), extremal_132_witness(n)))
-    for base_pattern, base_witness in bases:
-        for seq in symmetry_ops(pattern):
-            if apply_symmetry(pattern, seq) == base_pattern:
-                candidates.append(apply_symmetry(base_witness, tuple(reversed(seq))))
-                break
+    candidates = [make(n, n, 0), linear_zero_construction(n, n, pattern),
+                  split_witness(n, pattern)]
     # The all-zero matrix always verifies, so max sees at least one candidate.
-    return max((cand for cand in candidates if is_strongly_forcing(cand, pattern)),
+    return max((cand for cand in candidates
+                if cand is not None and is_strongly_forcing(cand, pattern)),
                key=BitMatrix.ones_count)
 
 
@@ -562,8 +585,9 @@ def _branch_and_bound(n: int, pattern: BitMatrix, config: SearchConfig) -> Searc
 
 # Stored with every cache entry; an entry with another or no version is a
 # miss. Raise it whenever the search or the entry layout changes what an
-# entry records, e.g. nodes_explored (2: the prefix witness test).
-CACHE_VERSION = 2
+# entry records, e.g. nodes_explored (2: the prefix witness test; 3: the
+# split-witness floor of separable permutations).
+CACHE_VERSION = 3
 
 
 def _decode_entry(entry) -> SearchOutcome | None:

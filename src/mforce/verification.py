@@ -11,7 +11,7 @@ do not vary in one of them ignores it. run_suite is the single entry point,
 used by `mforce verify`, and the only place that turns claims into rows: it
 grades each claim and stamps its millis with the suite's work since the
 previous row, so setup a suite does before its first claim (the dihedral
-searches, the conjecture table) counts toward the row after it.
+searches) counts toward the row after it.
 """
 
 from __future__ import annotations
@@ -40,12 +40,10 @@ from .strong_forcing import (
     SearchConfig,
     apply_symmetry,
     conjectured_max_identity,
-    extremal_123_witness,
     extremal_132_witness,
     extremal_2x2,
     extremal_identity_witness,
     is_strongly_forcing,
-    recurrence_lower_bound,
     search_max,
     symmetry_ops,
     upper_bound_3x3,
@@ -205,11 +203,11 @@ def suite_3x3(n_max: int = 5, k_max: int | None = None) -> Iterator[Claim]:
             out = search_max(n, p)
             yield ("max-strong-3x3-search", f"n={n},pattern={word}",
                    f"exact {n * n - 3 * n + 3}", f"{out.status} {out.best_ones}")
-    constructions = (("construction-123", extremal_123_witness, identity(3)),
-                     ("construction-132", extremal_132_witness, named("b3")))
     for n in range(3, CONSTRUCTION_N_MAX + 1):
-        for theorem_id, build, pattern in constructions:
-            witness = build(n)
+        for theorem_id, witness, pattern in (
+            ("construction-123", extremal_identity_witness(n, 3), identity(3)),
+            ("construction-132", extremal_132_witness(n), named("b3")),
+        ):
             forcing = "strongly forcing" if is_strongly_forcing(witness, pattern) else "NOT strongly forcing"
             yield (theorem_id, f"n={n}", f"{upper_bound_3x3(n)} ones, strongly forcing",
                    f"{witness.ones_count()} ones, {forcing}")
@@ -260,41 +258,22 @@ def exact_max_identity(n: int, k: int) -> int | None:
     return None
 
 
-def conjecture_table(n_max: int, k_max: int) -> dict[tuple[int, int], int]:
-    """Best known lower bounds for the identity maxima, recurrence-saturated."""
-    table: dict[tuple[int, int], int] = {}
-    for n in range(1, n_max + 1):
-        for k in range(1, min(n, k_max) + 1):
-            exact = exact_max_identity(n, k)
-            if exact is not None:
-                table[n, k] = exact
-                continue
-            best = conjectured_max_identity(n, k)
-            rec = recurrence_lower_bound(n, k, table)
-            if rec is not None and rec > best:
-                best = rec
-            table[n, k] = best
-    return table
-
-
 def suite_conjecture(n_max: int = 12, k_max: int = 6) -> Iterator[Claim]:
     """Evidence table for the conjectured identity maxima.
 
-    Each (n, k) row reports the construction and recurrence lower bounds and
-    the simple upper bound; a search verdict appears only when the exact
-    search finishes within its node budget. Rows without an exact value
-    carry status "open": they are evidence, not verification.
+    Each (n, k) row reports the construction lower bound and the simple
+    upper bound; a search verdict appears only when the exact search
+    finishes within its node budget. Rows without an exact value carry
+    status "open": they are evidence, not verification.
     """
-    table = conjecture_table(n_max, k_max)
     for k in range(3, k_max + 1):
         for n in range(k, n_max + 1):
             conj = conjectured_max_identity(n, k)
             witness = extremal_identity_witness(n, k)
             built_ok = (witness.ones_count() == conj
                         and is_strongly_forcing(witness, identity(k)))
-            rec = recurrence_lower_bound(n, k, table)
             ub = upper_bound_simple(n, k)
-            bounds_ok = built_ok and conj <= ub and (rec is None or rec <= ub)
+            bounds_ok = built_ok and conj <= ub
             exact = exact_max_identity(n, k)
             if exact is None and n * n <= CONJECTURE_SEARCH_MAX_AREA:
                 out = search_max(n, identity(k), SearchConfig(node_budget=CONJECTURE_NODE_BUDGET))
@@ -304,9 +283,8 @@ def suite_conjecture(n_max: int = 12, k_max: int = 6) -> Iterator[Claim]:
                 actual = f"max {exact}" if bounds_ok else f"max {exact}, bound violation"
                 yield "conjecture-identity-max", f"n={n},k={k}", f"max {conj}", actual
             else:
-                lo = max(conj, rec or 0)
                 yield ("conjecture-identity-max", f"n={n},k={k}", f"conjectured {conj}",
-                       f"{lo} <= max <= {ub}", OPEN if bounds_ok and lo <= ub else FAIL)
+                       f"{conj} <= max <= {ub}", OPEN if bounds_ok else FAIL)
 
 
 SUITES: dict[str, Callable[..., Iterator[Claim]]] = {

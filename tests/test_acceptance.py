@@ -40,7 +40,6 @@ from mforce import (
     min_ones_core,
     min_ones_general,
     minimal_forcing,
-    minimal_forcing_from_corners,
     named,
     oracle_is_strongly_forcing,
     oracle_max_strong,
@@ -51,8 +50,10 @@ from mforce import (
     perm_min_equality,
     search_max,
     serialize,
+    split_witness,
     upper_bound_simple,
 )
+from mforce.forcing import minimal_forcing_from_corners
 
 
 def small_patterns(max_rows=3, max_cols=3):
@@ -295,11 +296,8 @@ class TestPropertySuite:
     )
     @settings(max_examples=25)
     def test_identity_witnesses_stack(self, k1, k2, d1, d2):
-        def block(n, k):
-            return make(n, n, 1) if k == 1 else extremal_identity_witness(n, k)
-
-        a = block(k1 + d1, k1)
-        b = block(k2 + d2, k2)
+        a = split_witness(k1 + d1, identity(k1))
+        b = split_witness(k2 + d2, identity(k2))
         assert is_strongly_forcing(direct_sum(a, b), identity(k1 + k2))
 
     @given(nonzero_patterns(), st.integers(0, 2), st.integers(0, 2))

@@ -9,8 +9,6 @@ import pytest
 from conftest import DATA, load
 from mforce import (
     BitMatrix,
-    direct_sum,
-    extremal_identity_witness,
     make,
     parse,
     serialize,
@@ -23,6 +21,12 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# The construct outputs of the per-pattern builders that split_witness
+# replaced, keyed by the arguments after "construct": s-n and t-n at
+# n = 3..12, s-nk for 2 <= k <= n <= 12, block for n1, n2 <= 6.
+PINNED_CONSTRUCTS = json.loads(load("construct_outputs.json"))
 
 
 class TestPatternResolution:
@@ -165,7 +169,13 @@ class TestConstruct:
     def test_s_nk(self, capsys):
         code, out, _ = run_cli(capsys, "construct", "s-nk", "--n", "7", "--k", "4")
         assert code == 0
-        assert parse(out) == extremal_identity_witness(7, 4)
+        assert out == PINNED_CONSTRUCTS["s-nk --n 7 --k 4"]
+
+    def test_every_pinned_construction_is_byte_identical(self, capsys):
+        assert len(PINNED_CONSTRUCTS) == 527
+        for args, want in PINNED_CONSTRUCTS.items():
+            code, out, _ = run_cli(capsys, "construct", *args.split())
+            assert (args, code, out) == (args, 0, want)
 
     def test_a_mnq(self, capsys):
         code, out, _ = run_cli(capsys, "construct", "a-mnq", "--m", "14", "--n", "12",
@@ -202,8 +212,7 @@ class TestConstruct:
         code, out, _ = run_cli(capsys, "construct", "block",
                                "--n1", "3", "--k1", "1", "--n2", "4", "--k2", "2")
         assert code == 0
-        want = direct_sum(make(3, 3, 1), extremal_identity_witness(4, 2))
-        assert parse(out) == want
+        assert out == PINNED_CONSTRUCTS["block --n1 3 --k1 1 --n2 4 --k2 2"]
 
     def test_missing_argument_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "construct", "s-nk", "--n", "7")

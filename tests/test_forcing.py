@@ -21,7 +21,6 @@ from mforce import (
     min_ones_core,
     min_ones_general,
     minimal_forcing,
-    minimal_forcing_from_corners,
     named,
     parse,
     perm_max_extremal,
@@ -30,6 +29,7 @@ from mforce import (
     perm_min_equality,
     permutation_matrix,
 )
+from mforce.forcing import minimal_forcing_from_corners
 
 
 class TestDominance:

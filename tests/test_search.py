@@ -16,6 +16,7 @@ from mforce import (
     ResultsCache,
     SearchConfig,
     SearchOutcome,
+    all_permutation_matrices,
     conjectured_max_identity,
     direct_sum,
     extremal_2x2,
@@ -28,8 +29,10 @@ from mforce import (
     oracle_max_strong,
     parse,
     permutation_matrix,
+    permutation_of,
     search_max,
     serialize,
+    split_witness,
     upper_bound_simple,
 )
 from mforce.strong_forcing import CACHE_VERSION
@@ -177,10 +180,25 @@ class TestSearchTree:
                      "exact", 35, id="5-100_101-all"),
         pytest.param(5, parse("001\n110"), SearchConfig(enumerate_all_extremal=True),
                      "exact", 140, id="5-001_110-all"),
+        pytest.param(6, named("perm:1324"), SearchConfig(), "exact", 45_600, id="6-1324"),
     ])
     def test_nodes_explored(self, n, pattern, config, status, nodes):
         out = search_max(n, pattern, config)
         assert (out.status, out.nodes_explored) == (status, nodes)
+
+
+class TestSplitFloor:
+    @pytest.mark.parametrize("p", list(all_permutation_matrices(4)),
+                             ids=lambda p: "".join(str(i + 1) for i in permutation_of(p)))
+    def test_size_4_permutations_at_order_5(self, p):
+        # The split witness is the exact floor for every separable 4x4
+        # permutation; 2413 and 3142 are the non-separable ones.
+        built = split_witness(5, p)
+        if permutation_of(p) in ((1, 3, 0, 2), (2, 0, 3, 1)):
+            assert built is None
+            return
+        assert is_strongly_forcing(built, p)
+        assert built.ones_count() == search_max(5, p).best_ones == 8
 
 
 class TestBudgets:

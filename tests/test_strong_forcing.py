@@ -11,12 +11,12 @@ from conftest import load_matrix, nonzero_patterns
 from mforce import (
     BitMatrix,
     WitnessEmbedding,
+    all_permutation_matrices,
     apply_symmetry,
     canonical_form,
     conjectured_max_identity,
     dihedral_class,
     direct_sum,
-    extremal_123_witness,
     extremal_132_witness,
     extremal_2x2,
     extremal_identity_witness,
@@ -29,7 +29,8 @@ from mforce import (
     named,
     oracle_is_strongly_forcing,
     parse,
-    recurrence_lower_bound,
+    permutation_of,
+    split_witness,
     upper_bound_3x3,
     upper_bound_simple,
 )
@@ -256,7 +257,7 @@ class TestExtremalWitnesses:
 
     def test_identity_witness_fixture(self):
         assert extremal_identity_witness(5, 3) == load_matrix("s5.txt")
-        assert extremal_123_witness(5) == load_matrix("s5.txt")
+        assert split_witness(5, identity(3)) == load_matrix("s5.txt")
 
     def test_132_witness_fixture(self):
         assert extremal_132_witness(5) == load_matrix("t5.txt")
@@ -270,7 +271,7 @@ class TestExtremalWitnesses:
 
     @pytest.mark.parametrize("n", range(3, 9))
     def test_3x3_witnesses_meet_exact_maximum(self, n):
-        s = extremal_123_witness(n)
+        s = split_witness(n, identity(3))
         t = extremal_132_witness(n)
         assert s.ones_count() == t.ones_count() == upper_bound_3x3(n)
         assert is_strongly_forcing(s, identity(3))
@@ -340,27 +341,75 @@ class TestDirectSumClosure:
         assert not is_strongly_forcing(stacked, direct_sum(identity(2), identity(1)))
 
 
-class TestRecurrence:
+def reference_split(perm, m):
+    """split_witness's rule with every part order m1 tried: first best wins."""
+    k = len(perm)
+    if k == 1:
+        return make(m, m, 1)
+    if perm == (0, 1):
+        return extremal_2x2(m, "i2")
+    cuts = [c for c in range(1, k) if max(perm[:c]) == c - 1]
+    if not cuts:
+        rev = perm[::-1]
+        if not any(max(rev[:c]) == c - 1 for c in range(1, k)):
+            return None
+        got = reference_split(rev, m)
+        return None if got is None else got.reflect_h()
+    best = None
+    for c in cuts:
+        for m1 in range(c, m - (k - c) + 1):
+            a = reference_split(perm[:c], m1)
+            b = reference_split(tuple(x - c for x in perm[c:]), m - m1)
+            if a is None or b is None:
+                return None
+            if best is None or a.ones_count() + b.ones_count() > best.ones_count():
+                best = direct_sum(a, b)
+    return best
+
+
+class TestSplitWitness:
     def test_best_split_for_6_4(self):
-        table = {}
-        for n in range(1, 6):
-            table[n, 1] = n * n
-        for n in range(2, 6):
-            table[n, 2] = n * n - n
-        for n in range(3, 6):
-            table[n, 3] = n * n - 3 * n + 3
-        assert recurrence_lower_bound(6, 4, table) == 14
+        built = split_witness(6, identity(4))
+        assert built.ones_count() == 14
+        assert built == direct_sum(identity(2), extremal_2x2(4, "i2"))
+        assert is_strongly_forcing(built, identity(4))
 
-    def test_no_split_for_k1(self):
-        assert recurrence_lower_bound(5, 1, {}) is None
+    def test_k1_is_the_all_ones_block(self):
+        assert split_witness(5, identity(1)) == make(5, 5, 1)
 
-    def test_missing_entries_raise(self):
-        with pytest.raises(KeyError):
-            recurrence_lower_bound(4, 2, {(1, 1): 1})
+    def test_skew_sums_go_through_the_row_reversal(self):
+        assert split_witness(4, hankel(2)) == extremal_2x2(4, "h2")
+        assert split_witness(5, named("b3")) == extremal_132_witness(5)
+        assert split_witness(5, named("d3")) == extremal_132_witness(5).reflect_h()
+
+    def test_identity_floor_is_the_conjectured_value(self):
+        for k in range(2, 15):
+            for n in range(k, 41):
+                built = split_witness(n, identity(k))
+                assert (n, k, built.ones_count()) == (n, k, conjectured_max_identity(n, k))
+
+    def test_none_outside_separable_permutations(self):
+        assert split_witness(5, named("perm:2413")) is None
+        assert split_witness(5, named("perm:3142")) is None
+        assert split_witness(6, named("perm:25314")) is None
+        assert split_witness(4, parse("11\n01")) is None
+        assert split_witness(4, make(2, 2, 1)) is None
 
     def test_domain_guard(self):
         with pytest.raises(ValueError):
-            recurrence_lower_bound(2, 3, {})
+            split_witness(2, identity(3))
+
+    @pytest.mark.parametrize("k", range(1, 6))
+    def test_end_point_splits_match_every_split(self, k):
+        # The construction compares only the two end orders of each split;
+        # trying every order must give the same matrix, tie-break included.
+        for p in all_permutation_matrices(k):
+            for n in range(k, 9):
+                want = reference_split(permutation_of(p), n)
+                got = split_witness(n, p)
+                assert (permutation_of(p), n, got) == (permutation_of(p), n, want)
+                if got is not None:
+                    assert is_strongly_forcing(got, p)
 
 
 class TestDihedral:
