@@ -139,6 +139,13 @@ def check_fit(m: int, n: int, pattern: BitMatrix) -> None:
         raise ValueError(f"pattern {pattern.rows}x{pattern.cols} does not fit in {m}x{n}")
 
 
+def check_pattern(m: int, n: int, pattern: BitMatrix) -> None:
+    """Raise ValueError unless the pattern has a 1-entry and fits inside m x n."""
+    if pattern.ones_count() == 0:
+        raise ValueError("pattern must contain at least one 1-entry")
+    check_fit(m, n, pattern)
+
+
 def _check_selection(sel: Sequence[int], bound: int, what: str) -> None:
     if len(sel) == 0:
         raise ValueError(f"{what} selection is empty")

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .bitmatrix import BitMatrix, Position, check_fit, entrywise_leq, serialize
+from .bitmatrix import BitMatrix, Position, check_fit, check_pattern, entrywise_leq, serialize
 from .patterns import hankel, identity, is_permutation_matrix
 
 
@@ -178,12 +178,6 @@ def _smear(value: int, width: int) -> int:
     return out
 
 
-def _require_fit(m: int, n: int, pattern: BitMatrix) -> None:
-    if pattern.ones_count() == 0:
-        raise ValueError("pattern must contain at least one 1-entry")
-    check_fit(m, n, pattern)
-
-
 def minimal_forcing(m: int, n: int, pattern: BitMatrix) -> BitMatrix:
     """The unique minimum-ones m x n matrix forcing the pattern.
 
@@ -192,7 +186,7 @@ def minimal_forcing(m: int, n: int, pattern: BitMatrix) -> BitMatrix:
     Row i therefore ORs the horizontal smear of every pattern row that some
     window can place on row i.
     """
-    _require_fit(m, n, pattern)
+    check_pattern(m, n, pattern)
     s, t = pattern.rows, pattern.cols
     smears = [_smear(row, n - t + 1) for row in pattern.bits]
     span = m - s
@@ -222,7 +216,7 @@ def minimal_forcing_from_corners(m: int, n: int, pattern: BitMatrix) -> BitMatri
     minimal_forcing on its whole domain, without touching window unions.
     A tested paper result, not exported from the package.
     """
-    _require_fit(m, n, pattern)
+    check_pattern(m, n, pattern)
     s, t = pattern.rows, pattern.cols
     if m < 2 * s or n < 2 * t:
         raise ValueError(f"corner assembly needs m >= {2 * s} and n >= {2 * t}")
@@ -257,7 +251,7 @@ class MinOnesResult(NamedTuple):
 
 def min_ones_general(m: int, n: int, pattern: BitMatrix) -> int:
     """Closed form for the minimum ones when m >= 2s and n >= 2t."""
-    _require_fit(m, n, pattern)
+    check_pattern(m, n, pattern)
     s, t = pattern.rows, pattern.cols
     if m < 2 * s or n < 2 * t:
         raise ValueError(f"general formula needs m >= {2 * s} and n >= {2 * t}")
@@ -270,7 +264,7 @@ def min_ones_general(m: int, n: int, pattern: BitMatrix) -> int:
 
 def min_ones_boundary(m: int, n: int, pattern: BitMatrix) -> int:
     """General formula specialised to patterns with 1s on all four boundaries."""
-    _require_fit(m, n, pattern)
+    check_pattern(m, n, pattern)
     borders = core(pattern)
     if (borders.core.rows, borders.core.cols) != (pattern.rows, pattern.cols):
         raise ValueError("pattern has an all-zero boundary row or column")
@@ -282,7 +276,7 @@ def min_ones_boundary(m: int, n: int, pattern: BitMatrix) -> int:
 
 def min_ones_core(m: int, n: int, pattern: BitMatrix) -> int:
     """Closed form through the core: strip zero borders, shrink the ambient, recount."""
-    _require_fit(m, n, pattern)
+    check_pattern(m, n, pattern)
     s, t = pattern.rows, pattern.cols
     borders = core(pattern)
     s_core = borders.core.rows
@@ -304,7 +298,7 @@ def min_ones(m: int, n: int, pattern: BitMatrix) -> MinOnesResult:
     holds (it subsumes the general one); otherwise fall back to counting the
     window construction directly.
     """
-    _require_fit(m, n, pattern)
+    check_pattern(m, n, pattern)
     s, t = pattern.rows, pattern.cols
     if (m, n) == (s, t):
         return MinOnesResult(pattern.ones_count(), "exact-dimensions")

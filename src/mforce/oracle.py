@@ -20,7 +20,7 @@ from itertools import combinations
 from math import comb
 from typing import Iterable, Iterator
 
-from .bitmatrix import BitMatrix, check_fit, serialize
+from .bitmatrix import BitMatrix, check_fit, check_pattern, serialize
 
 DEFAULT_PLACEMENT_CAP = 10**7
 
@@ -43,9 +43,7 @@ def oracle_minimal_forcing(m: int, n: int, pattern: BitMatrix) -> BitMatrix:
     A matrix forces the pattern exactly when it dominates this union, so the
     union is the unique minimum-ones forcing matrix.
     """
-    check_fit(m, n, pattern)
-    if pattern.ones_count() == 0:
-        raise ValueError("pattern must contain at least one 1-entry")
+    check_pattern(m, n, pattern)
     _check_cap(m, n, pattern)
     ones = list(pattern.iter_ones())
     grid = [0] * m

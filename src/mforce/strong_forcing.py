@@ -5,15 +5,18 @@ submatrix of A that equals Q exactly. Where plain forcing asks for minimum
 ones, the natural extremal question here is the maximum: search_max computes
 max ones over strongly forcing square matrices with one zero-placement DFS
 whose zero cap tightens at each verified matrix, so the last one is exact.
-One checker does every witness test: after each placed row, the prefix test
-asks that every 1 so far lie in a copy of a long enough prefix of the
-pattern's rows, and after the last row that is strong forcing itself. Its
-coverage is carried down per prefix length: only the new row and entries
-whose copies grew too short are searched, one witness search each, in
-which an anchor in pattern row y asks for the first max(p_min, y + 1) rows.
-The search starts from a construction floor. For a separable permutation
-that is split_witness, one stacking rule: direct sums of the parts'
-witnesses, with skew sums built through a row reversal.
+Candidate rows are tried by increasing zero count, pruned by per-column
+zero deficits under the cap. One checker does every witness test: after
+row i, the prefix test asks that every 1 in rows 0..i lie in a copy of the
+pattern's first p rows inside rows 0..i, for some p >= s - (n-1-i), since
+the rows of a real copy at or above row i are such a prefix; after the last
+row that is strong forcing itself. Its coverage is carried down per prefix
+length: only the new row and entries whose copies grew too short are
+searched, one witness search each, in which an anchor in pattern row y asks
+for the first max(p_min, y + 1) rows. The search starts from a
+construction floor. For a separable permutation that is split_witness, one
+stacking rule: direct sums of the parts' witnesses, with skew sums built
+through a row reversal.
 """
 
 from __future__ import annotations
@@ -26,7 +29,8 @@ from pathlib import Path
 from typing import Iterable
 
 from .bitmatrix import (
-    BitMatrix, Position, check_fit, direct_sum, identity, make, parse, serialize,
+    BitMatrix, Position, check_fit, check_pattern, direct_sum, identity, make, parse,
+    serialize,
 )
 from .patterns import is_permutation_matrix, permutation_matrix, permutation_of
 
@@ -196,9 +200,7 @@ def linear_zero_construction(m: int, n: int, pattern: BitMatrix) -> BitMatrix:
     interchangeable in any selection.
     """
     s, t = pattern.rows, pattern.cols
-    if pattern.ones_count() == 0:
-        raise ValueError("pattern must contain at least one 1-entry")
-    check_fit(m, n, pattern)
+    check_pattern(m, n, pattern)
     rr = 0
     while pattern.bits[rr] == 0:
         rr += 1
@@ -459,29 +461,18 @@ def search_max(n: int, pattern: BitMatrix, config: SearchConfig | None = None,
                cache: "ResultsCache | None" = None) -> SearchOutcome:
     """Exact maximum ones over strongly forcing n x n matrices.
 
-    One depth-first placement of zeros, row by row, pruned by per-column
-    zero deficits under a cap on the total zeros and by the prefix test:
-    after row i, every 1 in rows 0..i must lie in a copy of the pattern's
-    first p rows inside rows 0..i, for some p >= s - (n-1-i), since the rows
-    of a real copy at or above row i are such a prefix. After the last row
-    that is the strong-forcing test itself. Each node passes down, per
-    prefix length, the entries known to lie in such copies, so only new or
-    stale entries are searched, once each, with a prefix length that follows
-    from the anchor row (see _strongly_forcing_rows). The cap starts at the
-    construction floor and tightens at every verified matrix, so the last
-    level found is the maximum and status "exact" certifies it. A budget
-    cut returns the best verified matrix so far, never below the
-    construction floor.
-
-    With enumerate_all_extremal the whole maximum level set is collected;
-    witnesses are always sorted by text form. nodes_explored counts every
-    candidate row zero mask tried, including those the prefix test
-    rejects; it is deterministic.
+    Status "exact" certifies best_ones as the maximum; a node or time budget
+    cut gives "budget_exhausted" with the best verified matrix so far, never
+    below the construction floor. With enumerate_all_extremal the witnesses
+    are the whole maximum level set, else one matrix; either way they are
+    sorted by text form. nodes_explored counts every candidate row tried and
+    is deterministic. A cache serves and stores exact outcomes only, under
+    the key of this very question, so a hit equals the unbudgeted cold
+    answer less its elapsed time. The module docstring describes the search
+    itself.
     """
     config = config or SearchConfig()
-    if pattern.ones_count() == 0:
-        raise ValueError("pattern must contain at least one 1-entry")
-    check_fit(n, n, pattern)
+    check_pattern(n, n, pattern)
     if n > 16:
         raise ValueError("exact search supports orders up to 16")
 
@@ -496,13 +487,13 @@ def search_max(n: int, pattern: BitMatrix, config: SearchConfig | None = None,
             return replace(base, witnesses=mapped)
 
     if cache is not None:
-        hit = cache.get(n, pattern, need_all_extremal=config.enumerate_all_extremal)
+        hit = cache.get(n, pattern, config.enumerate_all_extremal)
         if hit is not None:
             return hit
 
     outcome = _branch_and_bound(n, pattern, config)
     if cache is not None and outcome.status == STATUS_EXACT:
-        cache.put(n, pattern, outcome, all_extremal=config.enumerate_all_extremal)
+        cache.put(n, pattern, outcome, config.enumerate_all_extremal)
         cache.save()
     return outcome
 
@@ -586,8 +577,9 @@ def _branch_and_bound(n: int, pattern: BitMatrix, config: SearchConfig) -> Searc
 # Stored with every cache entry; an entry with another or no version is a
 # miss. Raise it whenever the search or the entry layout changes what an
 # entry records, e.g. nodes_explored (2: the prefix witness test; 3: the
-# split-witness floor of separable permutations).
-CACHE_VERSION = 3
+# split-witness floor of separable permutations; 4: level sets under their
+# own ":all" key, so older plain keys that hold one are never served).
+CACHE_VERSION = 4
 
 
 def _decode_entry(entry) -> SearchOutcome | None:
@@ -608,19 +600,25 @@ def _decode_entry(entry) -> SearchOutcome | None:
 
 
 class ResultsCache:
-    """JSON-backed store of exact search outcomes, keyed by order and pattern.
+    """JSON-backed store of exact search outcomes, one key per question.
 
     The key is the order, a colon, then the pattern rows as 0/1 text joined
-    by "/", e.g. "6:1000/0100/0010/0001". Only exact outcomes are stored;
-    entries remember whether they hold the complete extremal level set and
-    the CACHE_VERSION that wrote them. save re-reads the file just before
-    its write and rename and keeps the entries of keys it lacks; two saves
-    interleaving in that short window can still lose one. A file that is
-    not one JSON object is refused with ValueError and never overwritten.
+    by "/", e.g. "6:1000/0100/0010/0001", with ":all" appended when the
+    search collects the whole extremal level set. A hit is therefore the
+    outcome the same unbudgeted search would return cold, less its elapsed
+    time; budgets are not part of the key. Only exact outcomes are stored,
+    each with the CACHE_VERSION that wrote it.
+    save re-reads the file just before its write and rename and keeps the
+    entries of keys it lacks; two saves interleaving in that short window
+    can still lose one. A file that is not one JSON object, or a path whose
+    parent is not a directory, is refused with ValueError at construction,
+    before any search runs; a refused file is never overwritten.
     """
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
+        if not self.path.parent.is_dir():
+            raise ValueError(f"cache directory {self.path.parent} does not exist")
         self.entries: dict[str, dict] = self._read() if self.path.exists() else {}
 
     def _read(self) -> dict:
@@ -630,19 +628,16 @@ class ResultsCache:
         return entries
 
     @staticmethod
-    def key(n: int, pattern: BitMatrix) -> str:
-        return f"{n}:" + str(pattern).replace("\n", "/")
+    def key(n: int, pattern: BitMatrix, all_extremal: bool = False) -> str:
+        return f"{n}:" + str(pattern).replace("\n", "/") + (":all" if all_extremal else "")
 
-    def get(self, n: int, pattern: BitMatrix, need_all_extremal: bool = False) -> SearchOutcome | None:
+    def get(self, n: int, pattern: BitMatrix, all_extremal: bool = False) -> SearchOutcome | None:
         """The stored outcome, or None; elapsed is this lookup's own time."""
         start = time.monotonic()
-        entry = self.entries.get(self.key(n, pattern))
-        hit = _decode_entry(entry)
-        if hit is None or (need_all_extremal and entry.get("all_extremal") is not True):
-            return None
+        hit = _decode_entry(self.entries.get(self.key(n, pattern, all_extremal)))
         # An entry is trusted only when every witness still verifies at its
         # stated ones count; anything else is searched again.
-        if not hit.witnesses or not all(
+        if hit is None or not hit.witnesses or not all(
             (w.rows, w.cols) == (n, n) and w.ones_count() == hit.best_ones
             and is_strongly_forcing(w, pattern) for w in hit.witnesses
         ):
@@ -651,9 +646,8 @@ class ResultsCache:
 
     def put(self, n: int, pattern: BitMatrix, outcome: SearchOutcome, all_extremal: bool) -> None:
         record = outcome.to_json_dict()
-        record["all_extremal"] = all_extremal
         record["version"] = CACHE_VERSION
-        self.entries[self.key(n, pattern)] = record
+        self.entries[self.key(n, pattern, all_extremal)] = record
 
     def save(self) -> None:
         # Renaming a finished sibling file over the cache survives a crash.

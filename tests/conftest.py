@@ -7,7 +7,7 @@ in the package are always tested against an independent implementation.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, product
 from pathlib import Path
 
 from hypothesis import strategies as st
@@ -32,6 +32,19 @@ def bitmatrices(draw, max_rows: int = 4, max_cols: int = 4,
     cols = draw(st.integers(min_cols, max_cols))
     bits = draw(st.tuples(*[st.integers(0, (1 << cols) - 1)] * rows))
     return BitMatrix(rows, cols, bits)
+
+
+def all_nonzero_patterns(max_side: int = 3):
+    """Every nonzero pattern with at most max_side rows and columns.
+
+    Ordered by rows, then columns, then row bits as itertools.product yields
+    them; seeded samples of this list depend on that order.
+    """
+    for s in range(1, max_side + 1):
+        for t in range(1, max_side + 1):
+            for bits in product(range(1 << t), repeat=s):
+                if any(bits):
+                    yield BitMatrix(s, t, bits)
 
 
 @st.composite

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    all_nonzero_patterns,
     brute_corner_sets,
     brute_is_forcing,
     load,
@@ -56,18 +57,6 @@ from mforce import (
 from mforce.forcing import minimal_forcing_from_corners
 
 
-def small_patterns(max_rows=3, max_cols=3):
-    """Every nonzero pattern with at most the given dimensions."""
-    for rows in range(1, max_rows + 1):
-        for cols in range(1, max_cols + 1):
-            for code in range(1, 1 << (rows * cols)):
-                mask = (1 << cols) - 1
-                yield BitMatrix(
-                    rows, cols,
-                    tuple((code >> (i * cols)) & mask for i in range(rows)),
-                )
-
-
 class TestWorkedExampleReproduction:
     """The 7x6 pattern and its unique 14x12 minimum forcing matrix."""
 
@@ -89,8 +78,13 @@ class TestWindowEqualsSubsetOracle:
     511 full 3x3 patterns) against every ambient with 4 <= m, n <= 7.
     """
 
+    def test_sweep_family_has_673_patterns(self):
+        patterns = list(all_nonzero_patterns())
+        assert len(patterns) == len(set(patterns)) == 673
+        assert all(q.ones_count() and q.rows <= 3 and q.cols <= 3 for q in patterns)
+
     def test_exhaustive_agreement(self):
-        for q in small_patterns():
+        for q in all_nonzero_patterns():
             for m in range(4, 8):
                 for n in range(4, 8):
                     assert minimal_forcing(m, n, q) == oracle_minimal_forcing(m, n, q)
@@ -100,7 +94,7 @@ class TestClosedFormAgreement:
     """Every applicable closed form equals the constructed matrix's count."""
 
     def test_all_formulas_on_the_sweep_family(self):
-        for q in small_patterns():
+        for q in all_nonzero_patterns():
             s, t = q.rows, q.cols
             dec = core(q)
             boundary_applies = (dec.core.rows, dec.core.cols) == (s, t)

@@ -268,6 +268,15 @@ class TestSearch:
         assert out == "" and "error:" in err
         assert cache.read_text() == "[]\n"
 
+    def test_cache_in_a_missing_directory_exits_2_before_searching(self, capsys, tmp_path,
+                                                                   monkeypatch):
+        searched = []
+        monkeypatch.setattr("mforce.cli.search_max", lambda *args: searched.append(args))
+        code, out, err = run_cli(capsys, "search", "--n", "5", "--pattern", "i3",
+                                 "--cache", str(tmp_path / "missing" / "cache.json"))
+        assert (code, out, searched) == (2, "", [])
+        assert "error:" in err
+
     def test_budget_status_passes_through(self, capsys):
         code, out, _ = run_cli(capsys, "search", "--n", "5", "--pattern", "i3",
                                "--node-budget", "1")

@@ -1,6 +1,5 @@
 """Certified branch-and-bound search for maximum strongly forcing matrices."""
 
-import itertools
 import json
 import random
 from dataclasses import replace
@@ -10,9 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import nonzero_patterns
+from conftest import all_nonzero_patterns, nonzero_patterns
 from mforce import (
-    BitMatrix,
     ResultsCache,
     SearchConfig,
     SearchOutcome,
@@ -36,15 +34,6 @@ from mforce import (
     upper_bound_simple,
 )
 from mforce.strong_forcing import CACHE_VERSION
-
-
-def all_nonzero_patterns(max_side):
-    """Every nonzero pattern with at most max_side rows and columns."""
-    for s in range(1, max_side + 1):
-        for t in range(1, max_side + 1):
-            for bits in itertools.product(range(1 << t), repeat=s):
-                if any(bits):
-                    yield BitMatrix(s, t, bits)
 
 
 class TestExactValues:
@@ -272,19 +261,43 @@ class TestResultsCache:
         search_max(4, identity(3), cache=cache)
         entry = cache.get(4, identity(3))
         assert entry is not None
-        assert cache.get(4, identity(3), need_all_extremal=True) is None
+        assert cache.get(4, identity(3), all_extremal=True) is None
 
         full = search_max(
             4, identity(3), SearchConfig(enumerate_all_extremal=True), cache=cache
         )
-        got = cache.get(4, identity(3), need_all_extremal=True)
+        got = cache.get(4, identity(3), all_extremal=True)
         assert self.payload(got) == self.payload(full)
+
+    @pytest.mark.parametrize("n, name, reduce", [(4, "i3", False), (5, "b3", True)])
+    @pytest.mark.parametrize("all_first", [True, False], ids=["all-first", "plain-first"])
+    def test_hit_is_the_cold_outcome_in_either_order(self, tmp_path, n, name, reduce, all_first):
+        configs = [SearchConfig(use_dihedral_reduction=reduce, enumerate_all_extremal=full)
+                   for full in (True, False)]
+        if not all_first:
+            configs.reverse()
+        path = tmp_path / "results.json"
+        for config in configs:
+            search_max(n, named(name), config, cache=ResultsCache(path))
+        for config in configs:
+            cold = search_max(n, named(name), config)
+            hit = search_max(n, named(name), config, cache=ResultsCache(path))
+            assert self.payload(hit) == self.payload(cold)
 
     def test_key_forms(self):
         assert ResultsCache.key(6, identity(4)) == "6:1000/0100/0010/0001"
+        assert ResultsCache.key(6, identity(4), all_extremal=True) == "6:1000/0100/0010/0001:all"
         assert ResultsCache.key(5, parse("2 3\n110\n001\n")) == "5:110/001"
         assert ResultsCache.key(6, named("b3")) != ResultsCache.key(6, named("c3"))
         assert ResultsCache.key(6, identity(2)) != ResultsCache.key(5, identity(2))
+
+    def test_path_in_a_missing_directory_is_refused(self, tmp_path):
+        with pytest.raises(ValueError):
+            ResultsCache(tmp_path / "missing" / "results.json")
+        (tmp_path / "plain").write_text("")
+        with pytest.raises(ValueError):
+            ResultsCache(tmp_path / "plain" / "results.json")
+        assert [p.name for p in tmp_path.iterdir()] == ["plain"]
 
     def test_hit_reports_its_own_time_and_the_stored_nodes(self, tmp_path):
         cache = ResultsCache(tmp_path / "results.json")

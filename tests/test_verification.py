@@ -1,8 +1,10 @@
-"""run_suite: the one place that grades and times verify-suite claims."""
+"""run_suite, the one place that grades and times verify-suite claims, and
+real suites reporting fail when the result they check is broken."""
 
+from dataclasses import replace
 from types import SimpleNamespace
 
-from mforce import verification
+from mforce import BitMatrix, identity, named, verification
 from mforce.verification import FAIL, OPEN, PASS, run_suite
 
 
@@ -35,3 +37,58 @@ def test_run_suite_grades_times_and_keeps_order(monkeypatch):
     run_suite("stub", n_max=3)
     run_suite("stub", k_max=2)
     assert calls == [{}, {"n_max": 3}, {"k_max": 2}]
+
+
+def _failing(rows):
+    return sorted({(r.theorem_id, r.instance) for r in rows if r.status == FAIL})
+
+
+def _clear_first_one(mat):
+    r = next(i for i, row in enumerate(mat.bits) if row)
+    bits = list(mat.bits)
+    bits[r] &= bits[r] - 1
+    return BitMatrix(mat.rows, mat.cols, tuple(bits))
+
+
+def test_lemma21_fails_when_the_window_construction_is_off_by_one(monkeypatch):
+    real = verification.minimal_forcing
+
+    def off_by_one(m, n, q):
+        out = real(m, n, q)
+        return _clear_first_one(out) if q == identity(2) else out
+
+    monkeypatch.setattr(verification, "minimal_forcing", off_by_one)
+    assert _failing(run_suite("lemma21", n_max=4)) == [("window-equals-oracle", "m=4,n=4")]
+
+
+def test_3x3_fails_when_the_oracle_finds_one_less(monkeypatch):
+    real = verification.oracle_max_strong
+
+    def one_less(n, pattern):
+        best, level = real(n, pattern)
+        return best - 1, level
+
+    monkeypatch.setattr(verification, "oracle_max_strong", one_less)
+    failing = _failing(run_suite("3x3", n_max=4))
+    assert [theorem_id for theorem_id, _ in failing] == ["max-strong-3x3-sweep"] * 6
+
+
+def test_dihedral_fails_when_one_member_loses_a_witness(monkeypatch):
+    real = verification.search_max
+
+    def drop_one(n, pattern, config=None, cache=None):
+        out = real(n, pattern, config, cache)
+        return replace(out, witnesses=out.witnesses[1:]) if pattern == named("c3") else out
+
+    monkeypatch.setattr(verification, "search_max", drop_one)
+    assert _failing(run_suite("dihedral", n_max=4)) == [
+        ("dihedral-witness-transfer", "class={132,213,231,312},n=4"),
+    ]
+
+
+def test_conjecture_fails_when_the_construction_loses_a_one(monkeypatch):
+    real = verification.extremal_identity_witness
+    monkeypatch.setattr(verification, "extremal_identity_witness",
+                        lambda n, k: _clear_first_one(real(n, k)))
+    rows = run_suite("conjecture", n_max=5, k_max=4)
+    assert rows and all(r.status == FAIL for r in rows)
