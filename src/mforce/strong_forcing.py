@@ -5,23 +5,27 @@ submatrix of A that equals Q exactly. Where plain forcing asks for minimum
 ones, the natural extremal question here is the maximum: search_max computes
 max ones over strongly forcing square matrices with one zero-placement DFS
 whose zero cap tightens at each verified matrix, so the last one is exact.
-Candidate rows are tried by increasing zero count, pruned by per-column
-zero deficits under the cap. One checker does every witness test: after
-row i, the prefix test asks that every 1 in rows 0..i lie in a copy of the
-pattern's first p rows inside rows 0..i, for some p >= s - (n-1-i), since
-the rows of a real copy at or above row i are such a prefix; after the last
-row that is strong forcing itself. Its coverage is carried down per prefix
-length: only the new row and entries whose copies grew too short are
+Each row walks one candidate list: the zero masks with at least zr zeros, zr
+being the fewest zeros of a pattern row holding a 1, by zero count and then
+by mask. The walk ends at the first mask whose zeros leave the cap too few
+for zr in every later row; the others are pruned by column reach and
+per-column zero deficits under the cap. One checker does every witness test:
+after row i, the prefix test asks that every 1 in rows 0..i lie in a copy of
+the pattern's first p rows inside rows 0..i, for some p >= s - (n-1-i),
+since the rows of a real copy at or above row i are such a prefix; after the
+last row that is strong forcing itself. Its coverage is carried down per
+prefix length: only the new row and entries whose copies grew too short are
 searched, one witness search each, in which an anchor in pattern row y asks
-for the first max(p_min, y + 1) rows. The search starts from a
-construction floor. For a separable permutation that is split_witness, one
-stacking rule: direct sums of the parts' witnesses, with skew sums built
-through a row reversal.
+for the first max(p_min, y + 1) rows. The search starts from a construction
+floor. For a separable permutation that is split_witness, one stacking rule:
+direct sums of the parts' witnesses, with skew sums built through a row
+reversal.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
 from dataclasses import dataclass, replace
@@ -400,10 +404,18 @@ def canonical_with_ops(pattern: BitMatrix) -> tuple[BitMatrix, tuple[str, ...]]:
 
 @dataclass(frozen=True)
 class SearchConfig:
+    """Search options; None leaves a budget unset, a negative or NaN one raises ValueError."""
+
     node_budget: int | None = None
     time_budget: float | None = None
     use_dihedral_reduction: bool = False
     enumerate_all_extremal: bool = False
+
+    def __post_init__(self):
+        for name in ("node_budget", "time_budget"):
+            value = getattr(self, name)
+            if value is not None and not value >= 0:
+                raise ValueError(f"{name.replace('_', ' ')} must be non-negative, got {value}")
 
 
 @dataclass(frozen=True)
@@ -426,20 +438,6 @@ class SearchOutcome:
 
 class _BudgetExhausted(Exception):
     pass
-
-
-def _min_zero_demand(pattern: BitMatrix) -> tuple[int, int]:
-    # Minimum zeros any 1-bearing row (resp. column) of a strongly forcing
-    # matrix must carry: the scarcest zero count among pattern rows (columns)
-    # that hold a 1.
-    zr = min(
-        pattern.cols - row.bit_count() for row in pattern.bits if row
-    )
-    tp = pattern.transpose()
-    zc = min(
-        tp.cols - col.bit_count() for col in tp.bits if col
-    )
-    return zr, zc
 
 
 def _baseline_witness(n: int, pattern: BitMatrix) -> BitMatrix:
@@ -466,52 +464,49 @@ def search_max(n: int, pattern: BitMatrix, config: SearchConfig | None = None,
     below the construction floor. With enumerate_all_extremal the witnesses
     are the whole maximum level set, else one matrix; either way they are
     sorted by text form. nodes_explored counts every candidate row tried and
-    is deterministic. A cache serves and stores exact outcomes only, under
-    the key of this very question, so a hit equals the unbudgeted cold
-    answer less its elapsed time. The module docstring describes the search
-    itself.
+    is deterministic. With use_dihedral_reduction the question becomes that
+    of the pattern's canonical_with_ops image, whose witnesses are mapped
+    back at the end. A cache stores exact outcomes only, under the key of
+    that question, and serves a hit only when no node budget is set or the
+    hit's nodes_explored fits in it; a time budget never refuses one. The
+    module docstring describes the search itself.
     """
     config = config or SearchConfig()
     check_pattern(n, n, pattern)
     if n > 16:
         raise ValueError("exact search supports orders up to 16")
 
-    if config.use_dihedral_reduction:
-        canon, ops = canonical_with_ops(pattern)
-        if canon != pattern:
-            base = search_max(n, canon, replace(config, use_dihedral_reduction=False), cache)
-            inv = tuple(reversed(ops))
-            mapped = tuple(sorted(
-                (apply_symmetry(w, inv) for w in base.witnesses), key=serialize
-            ))
-            return replace(base, witnesses=mapped)
-
-    if cache is not None:
-        hit = cache.get(n, pattern, config.enumerate_all_extremal)
-        if hit is not None:
-            return hit
-
-    outcome = _branch_and_bound(n, pattern, config)
-    if cache is not None and outcome.status == STATUS_EXACT:
-        cache.put(n, pattern, outcome, config.enumerate_all_extremal)
-        cache.save()
-    return outcome
+    pattern, ops = canonical_with_ops(pattern) if config.use_dihedral_reduction else (pattern, ())
+    all_extremal = config.enumerate_all_extremal
+    outcome = cache.get(n, pattern, all_extremal) if cache is not None else None
+    if outcome is None or (config.node_budget is not None
+                           and outcome.nodes_explored > config.node_budget):
+        outcome = _branch_and_bound(n, pattern, config)
+        if cache is not None and outcome.status == STATUS_EXACT:
+            cache.put(n, pattern, outcome, all_extremal)
+            cache.save()
+    return replace(outcome, witnesses=tuple(sorted(
+        (apply_symmetry(w, ops[::-1]) for w in outcome.witnesses), key=serialize)))
 
 
 def _branch_and_bound(n: int, pattern: BitMatrix, config: SearchConfig) -> SearchOutcome:
     start = time.monotonic()
-    deadline = start + config.time_budget if config.time_budget is not None else None
-    zr, zc = _min_zero_demand(pattern)
-    baseline = _baseline_witness(n, pattern)
-
+    node_limit = math.inf if config.node_budget is None else config.node_budget
+    deadline = start + (math.inf if config.time_budget is None else config.time_budget)
     full = (1 << n) - 1
     s, t = pattern.rows, pattern.cols
     q_ones = list(pattern.iter_ones())
+    # Minimum zeros any 1-bearing row (resp. column) of a strongly forcing
+    # matrix must carry: the scarcest zero count among pattern rows
+    # (columns) that hold a 1.
+    zr = min(t - row.bit_count() for row in pattern.bits if row)
+    zc = min(s - col.bit_count() for col in pattern.transpose().bits if col)
+    baseline = _baseline_witness(n, pattern)
 
-    # Candidate zero masks by zero count, each list in increasing mask order.
-    candidates: list[list[int]] = [[] for _ in range(n + 1)]
-    for zmask in range(1 << n):
-        candidates[zmask.bit_count()].append(zmask)
+    # Every row's candidates: zero masks with at least zr zeros, by zero
+    # count and then by mask.
+    candidates = sorted((zmask.bit_count(), zmask) for zmask in range(1 << n)
+                        if zmask.bit_count() >= zr)
 
     nodes = 0
     found: list[BitMatrix] = []
@@ -536,29 +531,28 @@ def _branch_and_bound(n: int, pattern: BitMatrix, config: SearchConfig) -> Searc
         # Columns outside reached[last] can no longer reach zc zeros.
         last = zc - 1 - rows_after
         below = (full,) + reached[:-1]
-        z = zr
-        while z <= min(n, cap - used - rows_after * zr):
-            for zmask in candidates[z]:
-                nodes += 1
-                if config.node_budget is not None and nodes > config.node_budget:
-                    raise _BudgetExhausted
-                if deadline is not None and nodes % 1024 == 0 and time.monotonic() > deadline:
-                    raise _BudgetExhausted
-                ones = col_ones | (full ^ zmask)
-                nxt = tuple([r | (b & zmask) for b, r in zip(below, reached)])
-                if last >= 0 and ones & ~nxt[last]:
-                    continue
-                deficit = sum([(ones & ~r).bit_count() for r in nxt])
-                if deficit > cap - used - z:
-                    continue
-                rows[i] = full ^ zmask
-                nxt_cov = _strongly_forcing_rows(rows, i + 1, n, pattern.bits, t, q_ones,
-                                                 max(1, s - rows_after), cov)
-                if nxt_cov is not None:
-                    place(i + 1, used + z, ones, nxt, nxt_cov)
-                    if z > cap - used - rows_after * zr:
-                        return  # a verified leaf lowered the cap below z
-            z += 1
+        # Each later row needs zr zeros too. z only grows along the list,
+        # and a verified leaf below may lower the cap, so the first z past
+        # it ends the row.
+        reserve = used + rows_after * zr
+        for z, zmask in candidates:
+            if z + reserve > cap:
+                return
+            nodes += 1
+            if nodes > node_limit or (nodes % 1024 == 0 and time.monotonic() > deadline):
+                raise _BudgetExhausted
+            ones = col_ones | (full ^ zmask)
+            nxt = tuple([r | (b & zmask) for b, r in zip(below, reached)])
+            if last >= 0 and ones & ~nxt[last]:
+                continue
+            deficit = sum([(ones & ~r).bit_count() for r in nxt])
+            if deficit > cap - used - z:
+                continue
+            rows[i] = full ^ zmask
+            nxt_cov = _strongly_forcing_rows(rows, i + 1, n, pattern.bits, t, q_ones,
+                                             max(1, s - rows_after), cov)
+            if nxt_cov is not None:
+                place(i + 1, used + z, ones, nxt, nxt_cov)
 
     try:
         place(0, 0, 0, (0,) * zc, ((),) * (s + 1))
@@ -604,10 +598,11 @@ class ResultsCache:
 
     The key is the order, a colon, then the pattern rows as 0/1 text joined
     by "/", e.g. "6:1000/0100/0010/0001", with ":all" appended when the
-    search collects the whole extremal level set. A hit is therefore the
-    outcome the same unbudgeted search would return cold, less its elapsed
-    time; budgets are not part of the key. Only exact outcomes are stored,
-    each with the CACHE_VERSION that wrote it.
+    search collects the whole extremal level set. Budgets are not part of
+    the key: search_max serves a hit only when no node budget is set or the
+    hit's nodes_explored fits in it, so a hit is what the same search
+    returns cold when no time budget cuts it, less its elapsed time. Only
+    exact outcomes are stored, each with the CACHE_VERSION that wrote it.
     save re-reads the file just before its write and rename and keeps the
     entries of keys it lacks; two saves interleaving in that short window
     can still lose one. A file that is not one JSON object, or a path whose

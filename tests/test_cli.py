@@ -283,6 +283,14 @@ class TestSearch:
         assert code == 0
         assert json.loads(out)["status"] == "budget_exhausted"
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--node-budget", "-5"), ("--time-budget", "-1"), ("--time-budget", "nan"),
+    ])
+    def test_bad_budget_exits_2(self, capsys, flag, value):
+        code, out, err = run_cli(capsys, "search", "--n", "5", "--pattern", "i3", flag, value)
+        assert (code, out) == (2, "")
+        assert "budget" in err
+
     def test_dihedral_reduction_flag(self, capsys):
         code, out, _ = run_cli(capsys, "search", "--n", "4", "--pattern", "h3",
                                "--dihedral-reduction", "--all-extremal")

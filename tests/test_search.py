@@ -170,6 +170,10 @@ class TestSearchTree:
         pytest.param(5, parse("001\n110"), SearchConfig(enumerate_all_extremal=True),
                      "exact", 140, id="5-001_110-all"),
         pytest.param(6, named("perm:1324"), SearchConfig(), "exact", 45_600, id="6-1324"),
+        # A pattern row without zeros: zr = 0, so every mask is a candidate.
+        pytest.param(4, parse("1\n0"), SearchConfig(), "exact", 61, id="4-1_0"),
+        pytest.param(4, parse("1\n0"), SearchConfig(enumerate_all_extremal=True),
+                     "exact", 2_166, id="4-1_0-all"),
     ])
     def test_nodes_explored(self, n, pattern, config, status, nodes):
         out = search_max(n, pattern, config)
@@ -217,6 +221,17 @@ class TestBudgets:
         exact = search_max(4, named("c3")).best_ones
         capped = search_max(4, named("c3"), SearchConfig(node_budget=16))
         assert capped.best_ones <= exact
+
+    @pytest.mark.parametrize("budget", [
+        {"node_budget": -1}, {"time_budget": -0.5}, {"time_budget": float("nan")},
+    ], ids=["negative-nodes", "negative-time", "nan-time"])
+    def test_bad_budgets_are_refused(self, budget):
+        with pytest.raises(ValueError, match="budget"):
+            SearchConfig(**budget)
+
+    def test_zero_budgets_are_accepted(self):
+        out = search_max(5, identity(3), SearchConfig(node_budget=0, time_budget=0.0))
+        assert (out.status, out.nodes_explored) == ("budget_exhausted", 1)
 
 
 class TestDihedralReduction:
@@ -382,6 +397,19 @@ class TestResultsCache:
         reloaded = ResultsCache(path)
         assert self.payload(reloaded.get(4, identity(2))) == self.payload(out2)
         assert self.payload(reloaded.get(4, identity(3))) == self.payload(out3)
+
+    def test_hit_is_served_only_within_the_node_budget(self, tmp_path):
+        # (5, I_3) is exact in 726 nodes; a smaller budget must cut the
+        # search where a cold one would, not return the stored answer.
+        cache = ResultsCache(tmp_path / "results.json")
+        exact = search_max(5, identity(3), cache=cache)
+        assert (exact.status, exact.nodes_explored) == ("exact", 726)
+        for budget, status, nodes in [(10, "budget_exhausted", 11), (725, "budget_exhausted", 726),
+                                      (726, "exact", 726)]:
+            config = SearchConfig(node_budget=budget)
+            got = search_max(5, identity(3), config, cache=cache)
+            assert self.payload(got) == self.payload(search_max(5, identity(3), config))
+            assert (got.status, got.nodes_explored) == (status, nodes)
 
     def test_budget_outcomes_are_not_cached(self, tmp_path):
         cache = ResultsCache(tmp_path / "results.json")
