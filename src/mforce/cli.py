@@ -4,7 +4,8 @@ Patterns are given as built-in names (i2, h2, i3, b3, c3, d3, e3, h3, i4,
 perm:2413, ...), as paths to matrix text files, or as '-' for stdin. All
 user-facing indices are 1-based. Exit codes: 0 success (and "yes" for
 checks, all-pass for suites), 1 check answered "no" or a suite row failed,
-2 invalid input or precondition.
+2 invalid input or precondition, a verify suite with no row at its limits,
+or a brute-force oracle over its placement cap.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .forcing import (
     min_ones,
     minimal_forcing,
 )
+from .oracle import EnumerationCapError
 from .patterns import named
 from .strong_forcing import (
     ResultsCache,
@@ -299,7 +301,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, MatrixFormatError, ValueError, OSError) as exc:
+    except (CliError, MatrixFormatError, EnumerationCapError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -12,10 +12,16 @@ cells where the pattern has a 1. The placement holds an exact copy iff
 ``flat & window == copy``, and the matrix is strongly forcing iff the union
 of the matching ``copy`` masks is the whole of ``flat``. Every placement is
 tested; nothing is pruned.
+
+The minimal-forcing oracle walks every placement too, once per geometry
+(m, n, s, t) rather than once per pattern: ``_cell_unions`` records, for each
+pattern cell, the matrix cells it lands on over all placements, and a
+pattern's union is the OR of its 1-cells' records.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations
 from math import comb
 from typing import Iterable, Iterator
@@ -37,20 +43,41 @@ def _check_cap(m: int, n: int, pattern: BitMatrix) -> None:
         )
 
 
+@lru_cache
+def _cell_unions(m: int, n: int, s: int, t: int) -> tuple[tuple[int, ...], ...]:
+    """Where each cell of an s x t pattern lands over every placement in an m x n matrix.
+
+    Entry y * t + x holds one column mask per matrix row: bit c of row r is set
+    when some row/column subset placement maps pattern cell (y, x) to (r, c).
+    The tables are immutable and the cache keeps the 128 most recent
+    geometries, so every pattern of one shape and size shares one walk.
+    """
+    cells = [[0] * m for _ in range(s * t)]
+    col_sels = list(combinations(range(n), t))
+    for row_sel in combinations(range(m), s):
+        for col_sel in col_sels:
+            for y, r in enumerate(row_sel):
+                for x, c in enumerate(col_sel):
+                    cells[y * t + x][r] |= 1 << c
+    return tuple(map(tuple, cells))
+
+
 def oracle_minimal_forcing(m: int, n: int, pattern: BitMatrix) -> BitMatrix:
     """Union of the pattern's 1-entries over every row/column subset placement.
 
     A matrix forces the pattern exactly when it dominates this union, so the
-    union is the unique minimum-ones forcing matrix.
+    union is the unique minimum-ones forcing matrix. Every placement is
+    walked, once per geometry by ``_cell_unions``, and its copy is ORed in
+    grouped by pattern cell: the union is the OR of the pattern's 1-cells'
+    records.
     """
     check_pattern(m, n, pattern)
     _check_cap(m, n, pattern)
-    ones = list(pattern.iter_ones())
+    table = _cell_unions(m, n, pattern.rows, pattern.cols)
     grid = [0] * m
-    for row_sel in combinations(range(m), pattern.rows):
-        for col_sel in combinations(range(n), pattern.cols):
-            for y, x in ones:
-                grid[row_sel[y]] |= 1 << col_sel[x]
+    for y, x in pattern.iter_ones():
+        for r, cols in enumerate(table[y * pattern.cols + x]):
+            grid[r] |= cols
     return BitMatrix(m, n, tuple(grid))
 
 

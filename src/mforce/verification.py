@@ -285,6 +285,8 @@ def run_suite(name: str, n_max: int | None = None, k_max: int | None = None) -> 
 
     Each claim is graded pass/fail by expected == actual unless it carries
     its own status, and its millis is the suite's work since the previous row.
+    A suite that yields no claim at the given limits raises ValueError: an
+    empty report is not a pass.
     """
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}, expected one of {sorted(SUITES)}")
@@ -298,4 +300,7 @@ def run_suite(name: str, n_max: int | None = None, k_max: int | None = None) -> 
         rows.append(VerifyRow(theorem_id, instance, expected, actual, status,
                               int((now - last) * 1000)))
         last = now
+    if not rows:
+        given = ", ".join(f"{key}={value}" for key, value in limits.items() if value is not None)
+        raise ValueError(f"suite {name!r} yields no claim at {given or 'its default limits'}")
     return rows

@@ -354,6 +354,20 @@ class TestVerify:
         assert set(SUITES) == {"lemma21", "formulas", "perm-bounds", "2x2",
                                "3x3", "dihedral", "conjecture"}
 
+    def test_a_suite_without_claims_exits_2(self, capsys):
+        # lemma21 checks only m, n >= 4.
+        code, out, err = run_cli(capsys, "verify", "--suite", "lemma21", "--n-max", "3")
+        assert code == 2
+        assert out == ""
+        assert "suite 'lemma21' yields no claim at n_max=3" in err
+
+    def test_a_capped_oracle_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setattr("mforce.oracle.DEFAULT_PLACEMENT_CAP", 1)
+        code, out, err = run_cli(capsys, "verify", "--suite", "lemma21", "--n-max", "4")
+        assert code == 2
+        assert out == ""
+        assert "16 subset placements exceed the cap of 1" in err
+
     def test_unknown_suite_is_an_argparse_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--suite", "everything"])

@@ -9,6 +9,7 @@ from itertools import combinations, product
 
 import pytest
 
+from conftest import all_nonzero_patterns
 from mforce import (
     BitMatrix,
     EnumerationCapError,
@@ -46,6 +47,21 @@ class TestMinimalForcingOracle:
     def test_cap_guard(self):
         with pytest.raises(EnumerationCapError):
             oracle_minimal_forcing(40, 40, identity(10))
+
+    def test_matches_the_literal_union(self):
+        # One process for every pattern and shape, so tables built for one
+        # pattern are reused by the next one of the same size.
+        for q in all_nonzero_patterns():
+            ones = list(q.iter_ones())
+            for m, n in ((3, 3), (3, 5), (5, 3), (4, 6), (6, 4)):
+                if q.rows > m or q.cols > n:
+                    continue
+                grid = [0] * m
+                for row_sel in combinations(range(m), q.rows):
+                    for col_sel in combinations(range(n), q.cols):
+                        for y, x in ones:
+                            grid[row_sel[y]] |= 1 << col_sel[x]
+                assert oracle_minimal_forcing(m, n, q) == BitMatrix(m, n, tuple(grid)), (m, n, q)
 
 
 class TestStronglyForcingOracle:

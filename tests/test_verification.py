@@ -4,6 +4,8 @@ real suites reporting fail when the result they check is broken."""
 from dataclasses import replace
 from types import SimpleNamespace
 
+import pytest
+
 from mforce import BitMatrix, identity, named, verification
 from mforce.verification import FAIL, OPEN, PASS, run_suite
 
@@ -37,6 +39,14 @@ def test_run_suite_grades_times_and_keeps_order(monkeypatch):
     run_suite("stub", n_max=3)
     run_suite("stub", k_max=2)
     assert calls == [{}, {"n_max": 3}, {"k_max": 2}]
+
+
+def test_a_suite_without_claims_is_an_error(monkeypatch):
+    monkeypatch.setitem(verification.SUITES, "stub", lambda **limits: iter(()))
+    with pytest.raises(ValueError, match=r"suite 'stub' yields no claim at n_max=3"):
+        run_suite("stub", n_max=3)
+    with pytest.raises(ValueError, match=r"suite 'stub' yields no claim at its default limits"):
+        run_suite("stub")
 
 
 def _failing(rows):
