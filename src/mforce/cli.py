@@ -115,6 +115,8 @@ def cmd_min(args: argparse.Namespace) -> int:
 
 def cmd_check(args: argparse.Namespace) -> int:
     started = time.monotonic()
+    if args.witness and args.kind != "strong":
+        raise CliError("--witness applies only to check strong")
     ambient = parse(Path(args.ambient).read_text()) if args.ambient != "-" else parse(sys.stdin.read())
     pattern = load_pattern(args.pattern)
     if args.kind == "forcing":
@@ -140,7 +142,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         ))
     else:
         print("yes" if verdict else "no")
-        if args.kind == "strong" and args.witness:
+        if args.witness:
             for item in outputs["witnesses"]:
                 entry = item["entry"]
                 if item["witness"] is None:

@@ -16,10 +16,11 @@ since the rows of a real copy at or above row i are such a prefix; after the
 last row that is strong forcing itself. Its coverage is carried down per
 prefix length: only the new row and entries whose copies grew too short are
 searched, one witness search each, in which an anchor in pattern row y asks
-for the first max(p_min, y + 1) rows. The search starts from a construction
-floor. For a separable permutation that is split_witness, one stacking rule:
-direct sums of the parts' witnesses, with skew sums built through a row
-reversal.
+for the first max(p_min, y + 1) rows. A witness search skips, on one bit,
+every row that disagrees with the pattern at the anchor's column before it
+tries the row's columns. The search starts from a construction floor. For a
+separable permutation that is split_witness, one stacking rule: direct sums
+of the parts' witnesses, with skew sums built through a row reversal.
 """
 
 from __future__ import annotations
@@ -67,13 +68,15 @@ def _witness_through(abits, m: int, n: int, qbits, t: int, q_ones, p_min: int,
     row-major order. An anchor in pattern row y asks for a copy of the first
     s = max(p_min, y + 1) pattern rows; with p_min the pattern's height that
     is the whole pattern. The remaining prefix rows go to matrix rows in
-    ascending order. Each row tried takes one pass over the pattern columns:
-    it narrows column j's mask of matrix columns still consistent with the
-    rows chosen so far and picks the smallest of them above column j-1's
-    pick, rejecting the row as soon as none is left. That greedy pick is the
-    least increasing column selection, which exists whenever any does; the
-    picks are carried down with the masks, so the last accepted row's picks
-    are the copy's columns.
+    ascending order. The anchor pins pattern column x to matrix column c, so
+    a row whose bit at c differs from pattern row i's bit at x can never
+    match and is skipped on that one bit. Each other row tried takes one
+    pass over the pattern columns: it narrows column j's mask of matrix
+    columns still consistent with the rows chosen so far and picks the
+    smallest of them above column j-1's pick, rejecting the row as soon as
+    none is left. That greedy pick is the least increasing column selection,
+    which exists whenever any does; the picks are carried down with the
+    masks, so the last accepted row's picks are the copy's columns.
     """
     full = (1 << n) - 1
     arow_r = abits[r]
@@ -104,8 +107,11 @@ def _witness_through(abits, m: int, n: int, qbits, t: int, q_ones, p_min: int,
                     return assign(i + 1, r, masks, picks)
                 hi = r - (y - i) if i < y else m - (s - i)
                 qrow_i = qbits[i]
+                anchor_bit = (qrow_i >> x) & 1
                 for rr in range(prev + 1, hi + 1):
                     arow = abits[rr]
+                    if (arow >> c) & 1 != anchor_bit:
+                        continue
                     nxt, nxt_picks, col = [], [], -1
                     for j in range(t):
                         mask = masks[j] & (arow if (qrow_i >> j) & 1 else ~arow & full)

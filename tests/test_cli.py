@@ -126,6 +126,14 @@ class TestCheck:
         assert len(lines) == 1 + 13
         assert lines[1].startswith("(1,1) rows [")
 
+    def test_witness_with_forcing_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "check", "forcing",
+                                 "--ambient", str(DATA / "s5.txt"),
+                                 "--pattern", "i3", "--witness")
+        assert code == 2
+        assert out == ""
+        assert "--witness" in err
+
     def test_strong_no(self, capsys):
         code, out, _ = run_cli(capsys, "check", "strong",
                                "--ambient", str(DATA / "t5.txt"), "--pattern", "c3")

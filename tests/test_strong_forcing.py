@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import load_matrix, nonzero_patterns
+from conftest import load, load_matrix, nonzero_patterns
 from mforce import (
     BitMatrix,
     WitnessEmbedding,
@@ -35,6 +35,38 @@ from mforce import (
     upper_bound_simple,
 )
 from mforce.strong_forcing import _strongly_forcing_rows
+
+
+def literal_witness(mat, pattern, r, c):
+    """The first pattern 1 in row-major order that admits a copy through
+    (r, c), then the least row and least column selections by itertools
+    order: the witness the CLI prints must not drift from this."""
+    for y, x in pattern.iter_ones():
+        for row_sel in combinations(range(mat.rows), pattern.rows):
+            if row_sel[y] != r:
+                continue
+            for col_sel in combinations(range(mat.cols), pattern.cols):
+                if col_sel[x] == c and mat.submatrix(row_sel, col_sel) == pattern:
+                    return WitnessEmbedding(row_sel, col_sel)
+    return None
+
+
+def compare_with_literal(rng, rounds, max_side, rows):
+    """find_witness against literal_witness on every 1-entry of random
+    matrices up to max_side, bits from rows(m, n), with patterns up to 3x3;
+    returns how many entries had a witness and how many had none."""
+    found = missing = 0
+    for _ in range(rounds):
+        s, t = rng.randint(1, 3), rng.randint(1, 3)
+        pattern = BitMatrix(s, t, tuple(rng.getrandbits(t) for _ in range(s)))
+        m, n = rng.randint(s, max_side), rng.randint(t, max_side)
+        mat = BitMatrix(m, n, rows(m, n))
+        for pos in mat.iter_ones():
+            want = literal_witness(mat, pattern, *pos)
+            assert find_witness(mat, pattern, pos) == want, (mat, pattern, pos)
+            found += want is not None
+            missing += want is None
+    return found, missing
 
 
 class TestFindWitness:
@@ -70,32 +102,42 @@ class TestFindWitness:
             find_witness(identity(2), identity(3), (0, 0))
 
     def test_order_matches_a_literal_search(self):
-        # The first pattern 1 in row-major order that admits a copy through
-        # the entry, then the least row and least column selections by
-        # itertools order: the witness the CLI prints must not drift.
-        def literal(mat, pattern, r, c):
-            for y, x in pattern.iter_ones():
-                for row_sel in combinations(range(mat.rows), pattern.rows):
-                    if row_sel[y] != r:
-                        continue
-                    for col_sel in combinations(range(mat.cols), pattern.cols):
-                        if col_sel[x] == c and mat.submatrix(row_sel, col_sel) == pattern:
-                            return WitnessEmbedding(row_sel, col_sel)
-            return None
-
         rng = random.Random(9)
-        found = missing = 0
-        for _ in range(600):
-            s, t = rng.randint(1, 3), rng.randint(1, 3)
-            pattern = BitMatrix(s, t, tuple(rng.getrandbits(t) for _ in range(s)))
-            m, n = rng.randint(s, 6), rng.randint(t, 6)
-            mat = BitMatrix(m, n, tuple(rng.getrandbits(n) for _ in range(m)))
-            for pos in mat.iter_ones():
-                want = literal(mat, pattern, *pos)
-                assert find_witness(mat, pattern, pos) == want, (mat, pattern, pos)
-                found += want is not None
-                missing += want is None
+        found, missing = compare_with_literal(
+            rng, 600, 6, lambda m, n: tuple(rng.getrandbits(n) for _ in range(m)))
         assert found > 1000 and missing > 2000
+
+    @pytest.mark.parametrize("seed, lo, hi, rounds, floor", [
+        pytest.param(10, 0.85, 1.0, 400, 1000, id="dense"),
+        pytest.param(11, 0.0, 0.15, 1500, 500, id="sparse"),
+    ])
+    def test_order_matches_a_literal_search_at_extreme_densities(self, seed, lo, hi, rounds,
+                                                                 floor):
+        # In a dense or sparse matrix most rows a copy could use disagree
+        # with the pattern row at the anchor column, so the matcher skips
+        # them before the column pass.
+        rng = random.Random(seed)
+
+        def rows(m, n):
+            density = rng.uniform(lo, hi)
+            return tuple(sum(1 << j for j in range(n) if rng.random() < density)
+                         for _ in range(m))
+
+        found, missing = compare_with_literal(rng, rounds, 7, rows)
+        assert found > floor and missing > floor
+
+    def test_pinned_witnesses_at_scale(self):
+        # The pinned text of `construct s-nk --n 24 --k 5 | check strong
+        # --ambient - --pattern i5 --witness`.
+        mat = extremal_identity_witness(24, 5)
+        q = identity(5)
+        lines = ["yes" if is_strongly_forcing(mat, q) else "no"]
+        for pos in mat.iter_ones():
+            emb = find_witness(mat, q, pos).to_json_dict()
+            rows = ",".join(map(str, emb["rows"]))
+            cols = ",".join(map(str, emb["cols"]))
+            lines.append(f"({pos.row + 1},{pos.col + 1}) rows [{rows}] cols [{cols}]")
+        assert lines == load("witnesses_s-nk_24_5.txt").splitlines()
 
     def test_json_positions_are_one_based(self):
         emb = WitnessEmbedding((0, 2), (1, 3))
