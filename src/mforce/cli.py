@@ -19,7 +19,9 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .bitmatrix import BitMatrix, MatrixFormatError, direct_sum, identity, parse, serialize
+from .bitmatrix import (
+    BitMatrix, MatrixFormatError, check_fit, direct_sum, identity, parse, serialize,
+)
 from .forcing import (
     core,
     corner_functions,
@@ -122,18 +124,21 @@ def cmd_check(args: argparse.Namespace) -> int:
     if args.kind == "forcing":
         verdict = is_forcing(ambient, pattern)
         outputs: dict = {"forcing": verdict}
+    elif args.witness:
+        # The per-entry witnesses decide the verdict: yes iff none is missing.
+        check_fit(ambient.rows, ambient.cols, pattern)
+        embeddings = []
+        for pos in ambient.iter_ones():
+            witness = find_witness(ambient, pattern, pos)
+            embeddings.append({
+                "entry": [pos.row + 1, pos.col + 1],
+                "witness": witness.to_json_dict() if witness else None,
+            })
+        verdict = all(item["witness"] is not None for item in embeddings)
+        outputs = {"strongly_forcing": verdict, "witnesses": embeddings}
     else:
         verdict = is_strongly_forcing(ambient, pattern)
         outputs = {"strongly_forcing": verdict}
-        if args.witness:
-            embeddings = []
-            for pos in ambient.iter_ones():
-                witness = find_witness(ambient, pattern, pos)
-                embeddings.append({
-                    "entry": [pos.row + 1, pos.col + 1],
-                    "witness": witness.to_json_dict() if witness else None,
-                })
-            outputs["witnesses"] = embeddings
     if args.format == "json":
         print(_report(
             "check",

@@ -33,7 +33,11 @@ def alt_dominates(p1: Position | tuple[int, int], p2: Position | tuple[int, int]
 #   ne: alt-dominated by no 1-entry  se: dominated by no 1-entry
 # Oriented toward its corner, each set is a staircase (Young-diagram) region;
 # the shape vectors list row lengths after rotating that corner to the upper
-# left, so they are always non-increasing.
+# left, so they are always non-increasing. (i, j) dominates no 1-entry
+# exactly when rows 0..i hold no 1 in columns 0..j, so nw's row i reaches up
+# to the lowest column set in the OR of rows 0..i, and ne's row i covers the
+# columns above the highest. sw and se read the ORs of rows i..s-1 the same
+# way, listed from the bottom row up.
 
 
 @dataclass(frozen=True)
@@ -66,19 +70,20 @@ class CornerReport:
         }
 
 
-def _nw_widths(pattern: BitMatrix) -> list[int]:
-    """Per-row width of the upper-left staircase of 0s that dominate no 1.
+def _corner_widths(pattern: BitMatrix) -> tuple[list[int], ...]:
+    """Row widths of the nw, ne, sw and se staircases, each from its corner's row."""
+    t = pattern.cols
 
-    A position (i, j) dominates no 1-entry exactly when no 1 appears in the
-    rectangle [0..i] x [0..j], so row i contributes a prefix reaching up to
-    the leftmost column holding a 1 in rows 0..i.
-    """
-    widths = []
-    seen = 0
-    for row in pattern.bits:
-        seen |= row
-        widths.append(pattern.cols if seen == 0 else (seen & -seen).bit_length() - 1)
-    return widths
+    def sweep(rows) -> tuple[list[int], list[int]]:
+        low, high = [], []
+        seen = 0
+        for row in rows:
+            seen |= row
+            low.append((seen & -seen).bit_length() - 1 if seen else t)
+            high.append(t - seen.bit_length())
+        return low, high
+
+    return sweep(pattern.bits) + sweep(reversed(pattern.bits))
 
 
 def _trim(shape: list[int]) -> tuple[int, ...]:
@@ -90,11 +95,7 @@ def _trim(shape: list[int]) -> tuple[int, ...]:
 def corner_functions(pattern: BitMatrix) -> CornerReport:
     """Corner sets of a pattern with their staircase shape vectors."""
     s, t = pattern.rows, pattern.cols
-
-    nw_w = _nw_widths(pattern)
-    ne_w = _nw_widths(pattern.reflect_v())
-    sw_w = _nw_widths(pattern.reflect_h())
-    se_w = _nw_widths(pattern.reflect_h().reflect_v())
+    nw_w, ne_w, sw_w, se_w = _corner_widths(pattern)
 
     nw = frozenset(Position(i, j) for i, w in enumerate(nw_w) for j in range(w))
     ne = frozenset(Position(i, t - 1 - j) for i, w in enumerate(ne_w) for j in range(w))
@@ -258,7 +259,7 @@ def min_ones_general(m: int, n: int, pattern: BitMatrix) -> int:
     borders = core(pattern)
     s_core = borders.core.rows
     t_core = borders.core.cols
-    corners = corner_functions(pattern).total()
+    corners = sum(map(sum, _corner_widths(pattern)))
     return m * n - (m - 2 * s) * (t - t_core) - (n - 2 * t) * (s - s_core) - corners
 
 
@@ -271,7 +272,7 @@ def min_ones_boundary(m: int, n: int, pattern: BitMatrix) -> int:
     s, t = pattern.rows, pattern.cols
     if m < 2 * s or n < 2 * t:
         raise ValueError(f"boundary formula needs m >= {2 * s} and n >= {2 * t}")
-    return m * n - corner_functions(pattern).total()
+    return m * n - sum(map(sum, _corner_widths(pattern)))
 
 
 def min_ones_core(m: int, n: int, pattern: BitMatrix) -> int:
@@ -287,7 +288,7 @@ def min_ones_core(m: int, n: int, pattern: BitMatrix) -> int:
         raise ValueError(
             f"core formula needs m - {s - s_core} >= {2 * s_core} and n - {t - t_core} >= {2 * t_core}"
         )
-    return m_eff * n_eff - corner_functions(borders.core).total()
+    return m_eff * n_eff - sum(map(sum, _corner_widths(borders.core)))
 
 
 def min_ones(m: int, n: int, pattern: BitMatrix) -> MinOnesResult:

@@ -13,6 +13,14 @@ cells where the pattern has a 1. The placement holds an exact copy iff
 of the matching ``copy`` masks is the whole of ``flat``. Every placement is
 tested; nothing is pruned.
 
+``oracle_max_strong`` runs that test for every matrix of order n at once, by
+bit-slicing (Biham, "A fast new DES implementation in software", FSE 1997):
+bit ``code`` of one int stands for the matrix with row-major code ``code``.
+``var[b]`` holds the codes with cell b set, so the codes where a placement is
+an exact copy are the AND of ``var[b]`` over its copy cells and of
+``~var[b]`` over its other window cells, and the strongly forcing codes are
+those where every set cell is covered by some such copy.
+
 The minimal-forcing oracle walks every placement too, once per geometry
 (m, n, s, t) rather than once per pattern: ``_cell_unions`` records, for each
 pattern cell, the matrix cells it lands on over all placements, and a
@@ -123,30 +131,51 @@ def oracle_is_strongly_forcing(mat: BitMatrix, pattern: BitMatrix) -> bool:
 def oracle_max_strong(n: int, pattern: BitMatrix) -> tuple[int, list[BitMatrix]]:
     """Sweep all 2^(n*n) matrices of order n for the strongly-forcing maximum.
 
-    Each matrix is its row-major code (row i in bits i*n .. i*n + n - 1). The
-    placements' window/copy masks are built once per sweep, and every code at
-    or above the best ones count so far is tested against every placement
-    with one AND-compare each; nothing is pruned. Returns the maximum ones
-    count together with the complete level set of maximizers, sorted by their
-    text form. Orders above 4 are refused: n = 5 already means 2^25
-    candidate matrices.
+    Each matrix is its row-major code (row i in bits i*n .. i*n + n - 1), and
+    the sweep is bit-sliced: bit ``code`` of each int below stands for that
+    matrix. ``var[b]``, built by doubling, holds the codes with cell b set,
+    and ``weight[k]`` the codes with k ones. For every placement, the codes
+    holding an exact copy there are the AND over its window cells of
+    ``var[b]``, or of its complement where the pattern has a 0; they cover
+    each cell of the copy. A code is strongly forcing when each of its cells
+    is unset or covered. Every placement is tested for every matrix; nothing
+    is pruned. Returns the maximum ones count together with the complete
+    level set of maximizers, sorted by their text form. Orders above 4 are
+    refused: n = 5 already means 2^25 candidate matrices.
     """
     if n > 4:
         raise ValueError(f"full sweep of order {n} is out of range (n <= 4)")
     placements = list(_placements(n, n, pattern))
-    best = -1
-    codes: list[int] = []
-    for code in range(1 << (n * n)):
-        count = code.bit_count()
-        if count < best:
-            continue
-        if _covered_by_copies(code, placements):
-            if count > best:
-                best = count
-                codes = [code]
-            else:
-                codes.append(code)
+    cells = n * n
+    var: list[int] = []
+    weight = [1]
+    for b in range(cells):
+        size = 1 << b
+        var = [v | v << size for v in var]
+        var.append(((1 << size) - 1) << size)
+        weight = [lo | hi << size for lo, hi in zip(weight + [0], [0] + weight)]
+    full = (1 << (1 << cells)) - 1
+    inv = [full ^ v for v in var]
+    covered = [0] * cells
+    for window, copy in placements:
+        hit = full
+        for b in range(cells):
+            if window >> b & 1:
+                hit &= var[b] if copy >> b & 1 else inv[b]
+        for b in range(cells):
+            if copy >> b & 1:
+                covered[b] |= hit
+    forcing = full
+    for b in range(cells):
+        forcing &= inv[b] | covered[b]
+    best = max(k for k, codes in enumerate(weight) if codes & forcing)
+    codes = weight[best] & forcing
     row_mask = (1 << n) - 1
-    level = [BitMatrix(n, n, tuple((code >> (i * n)) & row_mask for i in range(n))) for code in codes]
+    level = []
+    while codes:
+        low = codes & -codes
+        codes ^= low
+        code = low.bit_length() - 1
+        level.append(BitMatrix(n, n, tuple((code >> (i * n)) & row_mask for i in range(n))))
     level.sort(key=serialize)
     return best, level

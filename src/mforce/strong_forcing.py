@@ -30,6 +30,7 @@ import math
 import os
 import time
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from pathlib import Path
 from typing import Iterable
 
@@ -134,6 +135,12 @@ def _witness_through(abits, m: int, n: int, qbits, t: int, q_ones, p_min: int,
     return None
 
 
+@lru_cache
+def _pattern_ones(pattern: BitMatrix) -> tuple[tuple[int, int], ...]:
+    """The pattern's 1-coordinates in row-major order, computed once per pattern."""
+    return tuple(pattern.iter_ones())
+
+
 def find_witness(mat: BitMatrix, pattern: BitMatrix, pos: Position | tuple[int, int]) -> WitnessEmbedding | None:
     """Deterministic witness for one 1-entry, or None when no exact copy contains it."""
     r, c = pos
@@ -142,7 +149,7 @@ def find_witness(mat: BitMatrix, pattern: BitMatrix, pos: Position | tuple[int, 
         raise ValueError(f"position ({r + 1}, {c + 1}) is not a 1-entry")
     got = _witness_through(
         mat.bits, mat.rows, mat.cols, pattern.bits, pattern.cols,
-        list(pattern.iter_ones()), pattern.rows, r, c,
+        _pattern_ones(pattern), pattern.rows, r, c,
     )
     if got is None:
         return None
@@ -192,7 +199,7 @@ def is_strongly_forcing(mat: BitMatrix, pattern: BitMatrix) -> bool:
     """
     check_fit(mat.rows, mat.cols, pattern)
     return _strongly_forcing_rows(
-        mat.bits, mat.rows, mat.cols, pattern.bits, pattern.cols, list(pattern.iter_ones()),
+        mat.bits, mat.rows, mat.cols, pattern.bits, pattern.cols, _pattern_ones(pattern),
         pattern.rows, ((),) * (pattern.rows + 1),
     ) is not None
 
@@ -501,7 +508,7 @@ def _branch_and_bound(n: int, pattern: BitMatrix, config: SearchConfig) -> Searc
     deadline = start + (math.inf if config.time_budget is None else config.time_budget)
     full = (1 << n) - 1
     s, t = pattern.rows, pattern.cols
-    q_ones = list(pattern.iter_ones())
+    q_ones = _pattern_ones(pattern)
     # Minimum zeros any 1-bearing row (resp. column) of a strongly forcing
     # matrix must carry: the scarcest zero count among pattern rows
     # (columns) that hold a 1.

@@ -152,6 +152,28 @@ class TestCheck:
         assert all(item["witness"] is None
                    for item in report["outputs"]["witnesses"])
 
+    @pytest.mark.parametrize("ambient, pattern, want", [("s5.txt", "i3", 0), ("t5.txt", "c3", 1)])
+    def test_witnesses_alone_give_the_verdict(self, capsys, monkeypatch, ambient, pattern, want):
+        def unused(*args):
+            raise AssertionError("the per-entry witnesses already decide the verdict")
+
+        monkeypatch.setattr("mforce.cli.is_strongly_forcing", unused)
+        code, out, _ = run_cli(capsys, "check", "strong", "--ambient", str(DATA / ambient),
+                               "--pattern", pattern, "--witness")
+        assert code == want
+        lines = out.splitlines()
+        assert lines[0] == ("yes" if want == 0 else "no")
+        assert any(line.endswith(" uncovered") for line in lines[1:]) == (want == 1)
+
+    def test_witness_on_an_all_zero_ambient_still_checks_the_fit(self, capsys, tmp_path):
+        ambient = tmp_path / "a.txt"
+        ambient.write_text(serialize(make(2, 2, 0)))
+        code, out, err = run_cli(capsys, "check", "strong", "--ambient", str(ambient),
+                                 "--pattern", "i3", "--witness")
+        assert code == 2
+        assert out == ""
+        assert "does not fit" in err
+
     def test_ambient_from_stdin(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO(load("s5.txt")))
         code, out, _ = run_cli(capsys, "check", "strong",

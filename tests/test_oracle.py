@@ -15,12 +15,14 @@ from mforce import (
     EnumerationCapError,
     identity,
     make,
+    named,
     oracle_is_strongly_forcing,
     oracle_max_strong,
     oracle_minimal_forcing,
     parse,
     serialize,
 )
+from mforce.oracle import _covered_by_copies, _placements
 
 
 class TestMinimalForcingOracle:
@@ -134,3 +136,30 @@ class TestMaxStrongSweep:
     def test_pattern_must_fit(self):
         with pytest.raises(ValueError):
             oracle_max_strong(2, identity(3))
+
+
+def per_code_sweep(n, pattern):
+    """The strong-forcing maximum by testing each of the 2^(n*n) codes in turn."""
+    placements = list(_placements(n, n, pattern))
+    codes = [code for code in range(1 << (n * n)) if _covered_by_copies(code, placements)]
+    best = max(code.bit_count() for code in codes)
+    row_mask = (1 << n) - 1
+    level = [BitMatrix(n, n, tuple((code >> (i * n)) & row_mask for i in range(n)))
+             for code in codes if code.bit_count() == best]
+    return best, sorted(level, key=serialize)
+
+
+class TestBitSlicedSweep:
+    """The sweep tests all codes at once; a literal per-code loop must agree."""
+
+    def test_every_pattern_up_to_2x2_at_orders_up_to_3(self):
+        for s, t in product((1, 2), repeat=2):
+            for bits in product(range(1 << t), repeat=s):
+                q = BitMatrix(s, t, bits)
+                for n in range(max(s, t), 4):
+                    assert oracle_max_strong(n, q) == per_code_sweep(n, q), (n, q)
+
+    @pytest.mark.parametrize("name", ["i2", "h2", "i3", "b3", "c3", "d3", "e3", "h3"])
+    def test_order_4(self, name):
+        q = named(name)
+        assert oracle_max_strong(4, q) == per_code_sweep(4, q)
