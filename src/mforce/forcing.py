@@ -275,20 +275,27 @@ def min_ones_boundary(m: int, n: int, pattern: BitMatrix) -> int:
     return m * n - sum(map(sum, _corner_widths(pattern)))
 
 
+def _core_formula(m: int, n: int, pattern: BitMatrix, inner: BitMatrix) -> int | None:
+    # The core closed form given the pattern's core, or None when the
+    # shrunken ambient is too small for it.
+    m_eff = m - (pattern.rows - inner.rows)
+    n_eff = n - (pattern.cols - inner.cols)
+    if m_eff < 2 * inner.rows or n_eff < 2 * inner.cols:
+        return None
+    return m_eff * n_eff - sum(map(sum, _corner_widths(inner)))
+
+
 def min_ones_core(m: int, n: int, pattern: BitMatrix) -> int:
     """Closed form through the core: strip zero borders, shrink the ambient, recount."""
     check_pattern(m, n, pattern)
-    s, t = pattern.rows, pattern.cols
-    borders = core(pattern)
-    s_core = borders.core.rows
-    t_core = borders.core.cols
-    m_eff = m - (s - s_core)
-    n_eff = n - (t - t_core)
-    if m_eff < 2 * s_core or n_eff < 2 * t_core:
+    inner = core(pattern).core
+    count = _core_formula(m, n, pattern, inner)
+    if count is None:
+        s_off, t_off = pattern.rows - inner.rows, pattern.cols - inner.cols
         raise ValueError(
-            f"core formula needs m - {s - s_core} >= {2 * s_core} and n - {t - t_core} >= {2 * t_core}"
+            f"core formula needs m - {s_off} >= {2 * inner.rows} and n - {t_off} >= {2 * inner.cols}"
         )
-    return m_eff * n_eff - sum(map(sum, _corner_widths(borders.core)))
+    return count
 
 
 def min_ones(m: int, n: int, pattern: BitMatrix) -> MinOnesResult:
@@ -300,13 +307,11 @@ def min_ones(m: int, n: int, pattern: BitMatrix) -> MinOnesResult:
     window construction directly.
     """
     check_pattern(m, n, pattern)
-    s, t = pattern.rows, pattern.cols
-    if (m, n) == (s, t):
+    if (m, n) == (pattern.rows, pattern.cols):
         return MinOnesResult(pattern.ones_count(), "exact-dimensions")
-    borders = core(pattern)
-    s_core, t_core = borders.core.rows, borders.core.cols
-    if m - (s - s_core) >= 2 * s_core and n - (t - t_core) >= 2 * t_core:
-        return MinOnesResult(min_ones_core(m, n, pattern), "core-formula")
+    count = _core_formula(m, n, pattern, core(pattern).core)
+    if count is not None:
+        return MinOnesResult(count, "core-formula")
     return MinOnesResult(minimal_forcing(m, n, pattern).ones_count(), "window-popcount")
 
 

@@ -9,18 +9,21 @@ Each row walks one candidate list: the zero masks with at least zr zeros, zr
 being the fewest zeros of a pattern row holding a 1, by zero count and then
 by mask. The walk ends at the first mask whose zeros leave the cap too few
 for zr in every later row; the others are pruned by column reach and
-per-column zero deficits under the cap. One checker does every witness test:
+per-column zero deficits under the cap. One matcher does every witness test:
 after row i, the prefix test asks that every 1 in rows 0..i lie in a copy of
 the pattern's first p rows inside rows 0..i, for some p >= s - (n-1-i),
 since the rows of a real copy at or above row i are such a prefix; after the
 last row that is strong forcing itself. Its coverage is carried down per
-prefix length: only the new row and entries whose copies grew too short are
-searched, one witness search each, in which an anchor in pattern row y asks
-for the first max(p_min, y + 1) rows. A witness search skips, on one bit,
-every row that disagrees with the pattern at the anchor's column before it
-tries the row's columns. The search starts from a construction floor. For a
-separable permutation that is split_witness, one stacking rule: direct sums
-of the parts' witnesses, with skew sums built through a row reversal.
+prefix length, and the test is made once per parent, not per child: a copy
+that uses the child's row ends in it, so the parent lists, for each entry
+whose copies grew too short and for each column of the new row, the
+(columns, wanted bits) pairs a row must show to complete one, and a child
+passes when each of those keys has a pair its row meets. A witness search
+skips, on one bit, every row that disagrees with the pattern at the
+anchor's column before it tries the row's columns. The search starts from a
+construction floor. For a separable permutation that is split_witness, one
+stacking rule: direct sums of the parts' witnesses, with skew sums built
+through a row reversal.
 """
 
 from __future__ import annotations
@@ -62,7 +65,7 @@ class WitnessEmbedding:
 
 
 def _witness_through(abits, m: int, n: int, qbits, t: int, q_ones, p_min: int,
-                     r: int, c: int):
+                     r: int, c: int, tails: dict | None = None):
     """Exact copy of a pattern prefix through 1-entry (r, c), or None.
 
     Tries every pattern 1-coordinate (y, x) as the anchor for (r, c) in
@@ -78,17 +81,35 @@ def _witness_through(abits, m: int, n: int, qbits, t: int, q_ones, p_min: int,
     none is left. That greedy pick is the least increasing column selection,
     which exists whenever any does; the picks are carried down with the
     masks, so the last accepted row's picks are the copy's columns.
+
+    With tails, a dict, the walk collects instead of returning: it looks for
+    every copy whose last row is row m, one past the given rows, whose bits
+    are still open. Its other rows come from rows 0..m-1 as above; the
+    anchor either lies among them (r < m, y below the copy's last row) or
+    is row m itself (r == m, y the copy's last row, which pins column x to c
+    and nothing else). Each increasing column selection the carried masks
+    allow completes such a copy: row m must show the last pattern row on
+    those columns. tails[columns, wanted] = (s, cells) records it, with
+    columns the selected columns, wanted those of them where row m needs a
+    1, and cells the copy's 1-entries, entry (row, col) at bit row * n + col.
+    The first copy found for a key is kept, and the walk returns None.
     """
     full = (1 << n) - 1
-    arow_r = abits[r]
+    tail = tails is not None
+    # Rows a copy may use: with tails, row m too, as the copy's last row.
+    mm = m + tail
+    ones_r, zeros_r = (abits[r], ~abits[r] & full) if r < m else (full, full)
     for y, x in q_ones:
         s = max(p_min, y + 1)
-        if r < y or m - 1 - r < s - 1 - y or c < x or n - 1 - c < t - 1 - x:
+        last = s - tail  # pattern rows 0..last-1 lie in rows 0..m-1
+        if tail and (r == m) != (y == last):
+            continue
+        if r < y or mm - 1 - r < s - 1 - y or c < x or n - 1 - c < t - 1 - x:
             continue
         qrow = qbits[y]
         masks, picks, col = [], [], -1
         for j in range(t):
-            mask = arow_r if (qrow >> j) & 1 else ~arow_r & full
+            mask = ones_r if (qrow >> j) & 1 else zeros_r
             if j == x:
                 mask &= 1 << c
             avail = mask >> (col + 1)
@@ -98,15 +119,45 @@ def _witness_through(abits, m: int, n: int, qbits, t: int, q_ones, p_min: int,
             masks.append(mask)
             picks.append(col)
         else:
-            rows_sel = [0] * s
+            rows_sel = [m] * s
             rows_sel[y] = r
 
             def assign(i: int, prev: int, masks: list[int], picks: list[int]):
-                if i == s:
-                    return picks
+                if i == last:
+                    if not tail:
+                        return picks
+                    # The latest pick each column can take and still leave
+                    # room for the columns after it; then every selection,
+                    # as (last column, columns, wanted, cells), where
+                    # column j at col adds spread[j] << col to the cells.
+                    qlast = qbits[s - 1]
+                    spread = [0] * t
+                    for yy, xx in q_ones:
+                        if yy < s:
+                            spread[xx] |= 1 << rows_sel[yy] * n
+                    tops, top = [0] * t, n
+                    for j in range(t - 1, -1, -1):
+                        top = tops[j] = (masks[j] & ((1 << top) - 1)).bit_length() - 1
+                    sels = [(-1, 0, 0, 0)]
+                    for j in range(t):
+                        window = masks[j] & ((2 << tops[j]) - 1)
+                        want_j, spread_j = (qlast >> j) & 1, spread[j]
+                        nxt = []
+                        for low_col, columns, wanted, cells in sels:
+                            avail = window >> (low_col + 1) << (low_col + 1)
+                            while avail:
+                                bit = avail & -avail
+                                avail ^= bit
+                                at = bit.bit_length() - 1
+                                nxt.append((at, columns | bit, wanted | bit if want_j else wanted,
+                                            cells | spread_j << at))
+                        sels = nxt
+                    for _, columns, wanted, cells in sels:
+                        tails.setdefault((columns, wanted), (s, cells))
+                    return None
                 if i == y:
                     return assign(i + 1, r, masks, picks)
-                hi = r - (y - i) if i < y else m - (s - i)
+                hi = r - (y - i) if i < y else mm - (s - i)
                 qrow_i = qbits[i]
                 anchor_bit = (qrow_i >> x) & 1
                 for rr in range(prev + 1, hi + 1):
@@ -156,22 +207,16 @@ def find_witness(mat: BitMatrix, pattern: BitMatrix, pos: Position | tuple[int, 
     return WitnessEmbedding(*got)
 
 
-def _strongly_forcing_rows(abits, m: int, n: int, qbits, t: int, q_ones, p_min: int,
-                           cov: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...] | None:
-    """The prefix test on rows 0..m-1: new coverage, or None when it fails.
+def is_strongly_forcing(mat: BitMatrix, pattern: BitMatrix) -> bool:
+    """True when every 1-entry of mat lies in a submatrix equal to the pattern.
 
-    Every 1-entry must lie in an exact copy of the pattern's first p rows
-    inside rows 0..m-1, for some p >= p_min. An anchor in pattern row y
-    asks for p = max(p_min, y + 1): a longer copy through an earlier anchor
-    truncates to a shorter one the same search would have found. cov[p][r]
-    marks the entries of row r known to lie in a copy of p or more rows,
-    which no added row can undo: only entries outside cov[p_min] are
-    searched, one matcher call each, and each copy found extends cov (rows
-    past its length start empty). With p_min = s this is strong forcing
-    itself.
+    An all-zero matrix passes vacuously, whatever the pattern. One witness
+    search per entry that no copy found so far covers.
     """
-    cov = [list(level) + [0] * (m - len(level)) for level in cov]
-    seen = cov[p_min]
+    check_fit(mat.rows, mat.cols, pattern)
+    abits, m, n = mat.bits, mat.rows, mat.cols
+    q_ones = _pattern_ones(pattern)
+    seen = [0] * m
     for r in range(m):
         row = abits[r] & ~seen[r]
         while row:
@@ -179,29 +224,111 @@ def _strongly_forcing_rows(abits, m: int, n: int, qbits, t: int, q_ones, p_min: 
             row ^= low
             if seen[r] & low:
                 continue
-            got = _witness_through(abits, m, n, qbits, t, q_ones, p_min, r, low.bit_length() - 1)
+            got = _witness_through(abits, m, n, pattern.bits, pattern.cols, q_ones,
+                                   pattern.rows, r, low.bit_length() - 1)
             if got is None:
-                return None
+                return False
             rows_sel, cols_sel = got
-            p = len(rows_sel)
             for y, x in q_ones:
-                if y >= p:
-                    break
-                for level in cov[p_min:p + 1]:
-                    level[rows_sel[y]] |= 1 << cols_sel[x]
-    return tuple(map(tuple, cov))
+                seen[rows_sel[y]] |= 1 << cols_sel[x]
+    return True
 
 
-def is_strongly_forcing(mat: BitMatrix, pattern: BitMatrix) -> bool:
-    """True when every 1-entry of mat lies in a submatrix equal to the pattern.
+class _Completions:
+    """The prefix test of every child of one search node, row i still open.
 
-    An all-zero matrix passes vacuously, whatever the pattern.
+    Rows 0..i-1 of rows are fixed, and nothing past them is read. cov[p]
+    holds, one bit per entry (bit r * n + c), the 1-entries of those rows
+    known to lie in a copy of the pattern's first p or more rows; no added
+    row can undo that. A child row passes when each 1 of rows 0..i lies in
+    a copy of the first max(p_min, y + 1) rows inside rows 0..i, for some
+    anchor (y, x) standing for it. Every copy that uses row i ends there,
+    and row i completes it exactly when row & columns == wanted for one
+    (columns, wanted) pair, so the test of a child only looks pairs up.
+    Each key's pairs are made once, the first time a child needs them, by
+    _witness_through's tails walk:
+    - a stale entry, a 1 of rows 0..i-1 outside cov[p_min], in row-major
+      order: one witness search inside rows 0..i-1 first; a copy there
+      covers the entry, and the entries of the copy, for every child. Else
+      its pairs are the p_min-row copies ending in row i. An entry without
+      pairs fails every child, but under a node that passed its own test
+      it has some: p_min grows by at most one a row, and row i can extend
+      any shorter copy by one row;
+    - a column c of row i: the copies ending in row i through (i, c),
+      anchored at any pattern row y >= p_min - 1, longest first.
     """
-    check_fit(mat.rows, mat.cols, pattern)
-    return _strongly_forcing_rows(
-        mat.bits, mat.rows, mat.cols, pattern.bits, pattern.cols, _pattern_ones(pattern),
-        pattern.rows, ((),) * (pattern.rows + 1),
-    ) is not None
+
+    def __init__(self, rows, i: int, n: int, qbits, t: int, q_ones, p_min: int,
+                 cov: tuple[int, ...]):
+        self.rows, self.i, self.n, self.qbits, self.t = rows, i, n, qbits, t
+        self.q_ones, self.p_min = q_ones, p_min
+        self.levels = list(cov)
+        flat = 0
+        for r in range(i):
+            flat |= rows[r] << (r * n)
+        self.todo = flat & ~cov[p_min]
+        self.stale: list[list] = []
+        self.by_column: dict[int, list] = {}
+
+    def _pairs(self, anchors, r: int, c: int) -> list[tuple[int, int, int, int]]:
+        tails: dict = {}
+        _witness_through(self.rows, self.i, self.n, self.qbits, self.t, anchors,
+                         self.p_min, r, c, tails)
+        return [(columns, wanted, s, cells) for (columns, wanted), (s, cells) in tails.items()]
+
+    def _next_stale(self) -> bool:
+        # Settles stale entries in order until one needs pairs, which join
+        # self.stale; False when none is left.
+        levels, n, p_min = self.levels, self.n, self.p_min
+        while self.todo:
+            low = self.todo & -self.todo
+            self.todo ^= low
+            if levels[p_min] & low:
+                continue
+            r, c = divmod(low.bit_length() - 1, n)
+            got = _witness_through(self.rows, self.i, n, self.qbits, self.t, self.q_ones,
+                                   p_min, r, c)
+            if got is None:
+                self.stale.append(self._pairs(self.q_ones, r, c))
+                return True
+            rows_sel, cols_sel = got
+            cells = 0
+            for y, x in self.q_ones:
+                if y < len(rows_sel):
+                    cells |= 1 << (rows_sel[y] * n + cols_sel[x])
+            for p in range(p_min, len(rows_sel) + 1):
+                levels[p] |= cells
+        return False
+
+    def child_cov(self, row: int) -> tuple[int, ...] | None:
+        """The child's coverage, the parent's plus one hit per key, or None."""
+        stale, by_column = self.stale, self.by_column
+        # The stale entries, then each 1 of row i that no hit covers yet: a
+        # hit's wanted bits are the 1s of row i its copy covers.
+        hits, rest, k = [], row, 0
+        while True:
+            if k < len(stale) or self._next_stale():
+                pairs = stale[k]
+                k += 1
+            elif rest:
+                c = (rest & -rest).bit_length() - 1
+                pairs = by_column.get(c)
+                if pairs is None:
+                    pairs = by_column[c] = self._pairs(self.q_ones[::-1], self.i, c)
+            else:
+                break
+            for columns, wanted, s, cells in pairs:
+                if row & columns == wanted:
+                    hits.append((s, cells))
+                    rest &= ~wanted
+                    break
+            else:
+                return None
+        levels = self.levels[:]
+        for s, cells in hits:
+            for p in range(self.p_min, s + 1):
+                levels[p] |= cells
+        return tuple(levels)
 
 
 # -- constructions -------------------------------------------------------------
@@ -529,10 +656,11 @@ def _branch_and_bound(n: int, pattern: BitMatrix, config: SearchConfig) -> Searc
     rows = [0] * n
 
     def place(i: int, used: int, col_ones: int, reached: tuple[int, ...],
-              cov: tuple[tuple[int, ...], ...]) -> None:
+              cov: tuple[int, ...]) -> None:
         # reached[j] holds the columns with more than j zeros so far; a
         # column with a 1 needs zc zeros, i.e. membership in reached[zc-1].
-        # cov is the prefix test's coverage of rows 0..i-1, by prefix length.
+        # cov is the prefix test's coverage of rows 0..i-1, by prefix length,
+        # one int per length with entry (r, c) at bit r * n + c.
         nonlocal nodes, cap
         if i == n:
             if used < cap or not config.enumerate_all_extremal:
@@ -548,27 +676,31 @@ def _branch_and_bound(n: int, pattern: BitMatrix, config: SearchConfig) -> Searc
         # and a verified leaf below may lower the cap, so the first z past
         # it ends the row.
         reserve = used + rows_after * zr
+        completions = None
         for z, zmask in candidates:
             if z + reserve > cap:
                 return
             nodes += 1
             if nodes > node_limit or (nodes % 1024 == 0 and time.monotonic() > deadline):
                 raise _BudgetExhausted
-            ones = col_ones | (full ^ zmask)
+            row = full ^ zmask
+            ones = col_ones | row
             nxt = tuple([r | (b & zmask) for b, r in zip(below, reached)])
             if last >= 0 and ones & ~nxt[last]:
                 continue
             deficit = sum([(ones & ~r).bit_count() for r in nxt])
             if deficit > cap - used - z:
                 continue
-            rows[i] = full ^ zmask
-            nxt_cov = _strongly_forcing_rows(rows, i + 1, n, pattern.bits, t, q_ones,
-                                             max(1, s - rows_after), cov)
+            if completions is None:
+                completions = _Completions(rows, i, n, pattern.bits, t, q_ones,
+                                           max(1, s - rows_after), cov)
+            nxt_cov = completions.child_cov(row)
             if nxt_cov is not None:
+                rows[i] = row
                 place(i + 1, used + z, ones, nxt, nxt_cov)
 
     try:
-        place(0, 0, 0, (0,) * zc, ((),) * (s + 1))
+        place(0, 0, 0, (0,) * zc, (0,) * (s + 1))
         status = STATUS_EXACT
     except _BudgetExhausted:
         status = STATUS_BUDGET

@@ -163,6 +163,8 @@ class TestSearchTree:
                      "exact", 4_165, id="5-i3-all"),
         pytest.param(5, named("i4"), SearchConfig(), "exact", 216, id="5-i4"),
         pytest.param(6, named("i5"), SearchConfig(), "exact", 870, id="6-i5"),
+        pytest.param(6, named("i3"), SearchConfig(), "exact", 41_532, id="6-i3"),
+        pytest.param(6, named("i4"), SearchConfig(), "exact", 24_870, id="6-i4"),
         pytest.param(5, named("i3"), SearchConfig(node_budget=500),
                      "budget_exhausted", 501, id="5-i3-budget"),
         pytest.param(5, parse("100\n101"), SearchConfig(enumerate_all_extremal=True),
@@ -178,6 +180,25 @@ class TestSearchTree:
     def test_nodes_explored(self, n, pattern, config, status, nodes):
         out = search_max(n, pattern, config)
         assert (out.status, out.nodes_explored) == (status, nodes)
+
+    # Budget cuts pin where the tree stops and the best level verified by
+    # then. At (6, I_4) node 401 is one of the 25 candidates of a row-3
+    # node that all fail the prefix test (nodes 375-415); the two 2x3
+    # patterns stop between their floor and their maximum.
+    @pytest.mark.parametrize("n, pattern, config, best, nodes", [
+        pytest.param(6, named("i4"), SearchConfig(node_budget=400), 14, 401, id="6-i4-400"),
+        pytest.param(5, parse("001\n110"),
+                     SearchConfig(node_budget=90, enumerate_all_extremal=True), 17, 91,
+                     id="5-001_110-all-90"),
+        pytest.param(5, parse("100\n101"),
+                     SearchConfig(node_budget=31, enumerate_all_extremal=True), 19, 32,
+                     id="5-100_101-all-31"),
+    ])
+    def test_budget_cut_points(self, n, pattern, config, best, nodes):
+        out = search_max(n, pattern, config)
+        assert (out.status, out.best_ones, out.nodes_explored) == ("budget_exhausted", best, nodes)
+        assert all(is_strongly_forcing(w, pattern) and w.ones_count() == best
+                   for w in out.witnesses)
 
 
 class TestSplitFloor:

@@ -34,7 +34,7 @@ from mforce import (
     upper_bound_3x3,
     upper_bound_simple,
 )
-from mforce.strong_forcing import _strongly_forcing_rows
+from mforce.strong_forcing import _Completions
 
 
 def literal_witness(mat, pattern, r, c):
@@ -200,46 +200,65 @@ def literal_prefix_cover(rows, n, pattern, p):
     return cover
 
 
+def check_children(rng, rows, i, n, pattern, p_min, cov):
+    """Every child row of one _Completions against the prefix-copy
+    definition, in a random order: its verdict, and that each mark it
+    carries names an entry lying in a copy of that many rows. Rows i.. of
+    the list it reads hold junk, as in the search. Returns the passing
+    children with their coverage, and whether some 1 of rows 0..i-1 is
+    covered under no child row."""
+    node = _Completions(rows + [rng.getrandbits(n) for _ in range(3)], i, n, pattern.bits,
+                        pattern.cols, tuple(pattern.iter_ones()), p_min, cov)
+    earlier = {(r, c) for r in range(i) for c in range(n) if rows[r] >> c & 1}
+    stuck, children = set(earlier), []
+    for row in rng.sample(range(1 << n), 1 << n):
+        cand = rows + [row]
+        literal = [literal_prefix_cover(cand, n, pattern, p) for p in range(pattern.rows + 1)]
+        covered = set().union(*literal[p_min:])
+        ones = earlier | {(i, c) for c in range(n) if row >> c & 1}
+        got = node.child_cov(row)
+        assert (got is not None) == (ones <= covered), (pattern, cand, p_min)
+        stuck -= covered
+        if got is not None:
+            for p in range(pattern.rows + 1):
+                marked = {(r, c) for r in range(i + 1) for c in range(n)
+                          if got[p] >> (r * n + c) & 1}
+                assert marked <= set().union(*literal[p:]), (pattern, cand, p)
+            children.append((row, got))
+    return children, bool(stuck)
+
+
 class TestPrefixCoverage:
-    # The search feeds _strongly_forcing_rows one row at a time, with
-    # p_min = max(1, s - rows_after) and the coverage the previous row
-    # returned. Each row here is a random walk down that tree: up to six
-    # random candidates for the next row, keeping the first that passes.
-    # Every verdict must match the prefix-copy definition, and every
-    # carried mark must name an entry that really has such a copy.
+    # The search makes one _Completions per node, with rows 0..i-1 fixed,
+    # p_min = max(1, s - rows_after) and the node's coverage, and asks it
+    # for each child row's verdict and coverage. Nodes here come from random
+    # walks down that tree. A search node's stale entries always have a
+    # completion, so nodes with arbitrary rows, no coverage and any p_min
+    # come too: some have an entry that no child row can cover.
     def test_row_by_row_verdicts_match_the_definition(self):
         rng = random.Random(8)
-        checked = carried = 0
-        for _ in range(300):
+        walked = carried = stuck = 0
+        while walked < 300:
             s, t = rng.randint(1, 3), rng.randint(1, 3)
             pattern = BitMatrix(s, t, tuple(rng.getrandbits(t) for _ in range(s)))
             if pattern.ones_count() == 0:
                 continue
-            m, n = rng.randint(s, 6), rng.randint(t, 6)
-            q_ones = list(pattern.iter_ones())
-            rows, cov = [], ((),) * (s + 1)
+            m, n = rng.randint(s, 5), rng.randint(t, 5)
+            i = rng.randrange(m)
+            rows = [rng.getrandbits(n) for _ in range(i)]
+            stuck += check_children(rng, rows, i, n, pattern, rng.randint(1, s),
+                                    (0,) * (s + 1))[1]
+            rows, cov = [], (0,) * (s + 1)
             for i in range(m):
                 p_min = max(1, s - (m - 1 - i))
-                for _ in range(6):
-                    cand = rows + [rng.getrandbits(n)]
-                    ones = {(r, c) for r in range(i + 1) for c in range(n) if cand[r] >> c & 1}
-                    literal = [literal_prefix_cover(cand, n, pattern, p)
-                               for p in range(min(s, i + 1) + 1)]
-                    got = _strongly_forcing_rows(cand, i + 1, n, pattern.bits, t, q_ones, p_min, cov)
-                    checked += 1
-                    assert (got is not None) == (ones <= set().union(*literal[p_min:])), (
-                        pattern, cand, p_min)
-                    if got is not None:
-                        break
-                else:
+                children, _ = check_children(rng, rows, i, n, pattern, p_min, cov)
+                walked += 1
+                carried += p_min > 1 and bool(children)
+                if not children:
                     break
-                for p in range(p_min, s + 1):
-                    marked = {(r, c) for r, level in enumerate(got[p])
-                              for c in range(n) if level >> c & 1}
-                    assert marked <= set().union(*literal[p:]), (pattern, cand, p)
-                rows, cov = cand, got
-                carried += p_min > 1
-        assert checked > 1000 and carried > 100
+                row, cov = rng.choice(children)
+                rows = rows + [row]
+        assert carried > 50 and stuck > 10, (carried, stuck)
 
 
 class TestLinearZeroConstruction:
