@@ -20,7 +20,13 @@ whose copies grew too short and for each column of the new row, the
 (columns, wanted bits) pairs a row must show to complete one, and a child
 passes when each of those keys has a pair its row meets. A witness search
 skips, on one bit, every row that disagrees with the pattern at the
-anchor's column before it tries the row's columns. The search starts from a
+anchor's column before it tries the row's columns. When the pattern equals
+its transpose, so does the transpose of a strongly forcing matrix, and one
+matrix of each pair M != M^T is searched: entries M[i][b] and M[b][i],
+b < i, are compared in (i, b) order, and at the first pair that differs a
+row with its 1 below the diagonal is skipped, its transpose being kept; a
+row that settles the comparison turns the test off below it. A level set
+gets each kept matrix's transpose back. The search starts from a
 construction floor. For a separable permutation that is split_witness, one
 stacking rule: direct sums of the parts' witnesses, with skew sums built
 through a row reversal.
@@ -604,9 +610,11 @@ def search_max(n: int, pattern: BitMatrix, config: SearchConfig | None = None,
     below the construction floor. With enumerate_all_extremal the witnesses
     are the whole maximum level set, else one matrix; either way they are
     sorted by text form. nodes_explored counts every candidate row tried and
-    is deterministic. With use_dihedral_reduction the question becomes that
-    of the pattern's canonical_with_ops image, whose witnesses are mapped
-    back at the end. A cache stores exact outcomes only, under the key of
+    is deterministic. For a pattern equal to its transpose only one matrix
+    of each pair M != M^T is searched, by the rule in the module docstring,
+    and a level set adds the transposes of those it found. With
+    use_dihedral_reduction the question becomes that of the pattern's
+    canonical_with_ops image, whose witnesses are mapped back at the end. A cache stores exact outcomes only, under the key of
     that question, and serves a hit only when no node budget is set or the
     hit's nodes_explored fits in it; a time budget never refuses one. The
     module docstring describes the search itself.
@@ -640,7 +648,8 @@ def _branch_and_bound(n: int, pattern: BitMatrix, config: SearchConfig) -> Searc
     # matrix must carry: the scarcest zero count among pattern rows
     # (columns) that hold a 1.
     zr = min(t - row.bit_count() for row in pattern.bits if row)
-    zc = min(s - col.bit_count() for col in pattern.transpose().bits if col)
+    transposed = pattern.transpose()
+    zc = min(s - col.bit_count() for col in transposed.bits if col)
     baseline = _baseline_witness(n, pattern)
 
     # Every row's candidates: zero masks with at least zr zeros, by zero
@@ -648,6 +657,9 @@ def _branch_and_bound(n: int, pattern: BitMatrix, config: SearchConfig) -> Searc
     candidates = sorted((zmask.bit_count(), zmask) for zmask in range(1 << n)
                         if zmask.bit_count() >= zr)
 
+    # With a pattern equal to its transpose, one of each pair {M, M^T} is
+    # searched; see place.
+    symmetric = transposed == pattern
     nodes = 0
     found: list[BitMatrix] = []
     # Most zeros a recorded matrix may have: the construction floor's count,
@@ -656,18 +668,30 @@ def _branch_and_bound(n: int, pattern: BitMatrix, config: SearchConfig) -> Searc
     rows = [0] * n
 
     def place(i: int, used: int, col_ones: int, reached: tuple[int, ...],
-              cov: tuple[int, ...]) -> None:
+              cov: tuple[int, ...], tied: bool) -> None:
         # reached[j] holds the columns with more than j zeros so far; a
         # column with a 1 needs zc zeros, i.e. membership in reached[zc-1].
         # cov is the prefix test's coverage of rows 0..i-1, by prefix length,
-        # one int per length with entry (r, c) at bit r * n + c.
+        # one int per length with entry (r, c) at bit r * n + c. tied: the
+        # pattern is symmetric and so is the top-left i x i block of rows,
+        # so M and M^T are not yet told apart.
         nonlocal nodes, cap
         if i == n:
+            mat = BitMatrix(n, n, tuple(rows))
             if used < cap or not config.enumerate_all_extremal:
                 found.clear()
-            found.append(BitMatrix(n, n, tuple(rows)))
+            found.append(mat)
+            if symmetric and not tied and config.enumerate_all_extremal:
+                found.append(mat.transpose())
             cap = used if config.enumerate_all_extremal else used - 1
             return
+        if tied:
+            # Column i over rows 0..i-1, M[b][i] at bit b, to hold against
+            # row i's first i bits M[i][b].
+            col_i = 0
+            for b in range(i):
+                col_i |= (rows[b] >> i & 1) << b
+            low = (1 << i) - 1
         rows_after = n - i - 1
         # Columns outside reached[last] can no longer reach zc zeros.
         last = zc - 1 - rows_after
@@ -684,6 +708,16 @@ def _branch_and_bound(n: int, pattern: BitMatrix, config: SearchConfig) -> Searc
             if nodes > node_limit or (nodes % 1024 == 0 and time.monotonic() > deadline):
                 raise _BudgetExhausted
             row = full ^ zmask
+            child_tied = tied
+            if tied:
+                # The first b where M[i][b] != M[b][i] decides: a row with
+                # M[i][b] = 1 is skipped, its transpose being kept, and one
+                # with M[b][i] = 1 ends the test for the rows below.
+                diff = col_i ^ (row & low)
+                if diff:
+                    if row & diff & -diff:
+                        continue
+                    child_tied = False
             ones = col_ones | row
             nxt = tuple([r | (b & zmask) for b, r in zip(below, reached)])
             if last >= 0 and ones & ~nxt[last]:
@@ -697,10 +731,10 @@ def _branch_and_bound(n: int, pattern: BitMatrix, config: SearchConfig) -> Searc
             nxt_cov = completions.child_cov(row)
             if nxt_cov is not None:
                 rows[i] = row
-                place(i + 1, used + z, ones, nxt, nxt_cov)
+                place(i + 1, used + z, ones, nxt, nxt_cov, child_tied)
 
     try:
-        place(0, 0, 0, (0,) * zc, (0,) * (s + 1))
+        place(0, 0, 0, (0,) * zc, (0,) * (s + 1), symmetric)
         status = STATUS_EXACT
     except _BudgetExhausted:
         status = STATUS_BUDGET
@@ -717,8 +751,9 @@ def _branch_and_bound(n: int, pattern: BitMatrix, config: SearchConfig) -> Searc
 # miss. Raise it whenever the search or the entry layout changes what an
 # entry records, e.g. nodes_explored (2: the prefix witness test; 3: the
 # split-witness floor of separable permutations; 4: level sets under their
-# own ":all" key, so older plain keys that hold one are never served).
-CACHE_VERSION = 4
+# own ":all" key, so older plain keys that hold one are never served; 5: the
+# transpose rule of symmetric patterns, and no elapsed time stored).
+CACHE_VERSION = 5
 
 
 def _decode_entry(entry) -> SearchOutcome | None:
@@ -785,7 +820,10 @@ class ResultsCache:
         return replace(hit, elapsed=time.monotonic() - start)
 
     def put(self, n: int, pattern: BitMatrix, outcome: SearchOutcome, all_extremal: bool) -> None:
+        # The search's elapsed time is not stored: a hit reports its own, and
+        # the file's bytes then depend on the outcome alone.
         record = outcome.to_json_dict()
+        del record["elapsed_ms"]
         record["version"] = CACHE_VERSION
         self.entries[self.key(n, pattern, all_extremal)] = record
 

@@ -55,8 +55,8 @@ class TestExactValues:
         assert is_strongly_forcing(out.witnesses[0], named("b3"))
 
     @pytest.mark.parametrize("k, best, nodes", [
-        pytest.param(6, 10, 2_596, id="6-10"),
-        pytest.param(5, 15, 212_222, id="5-15", marks=pytest.mark.slow),
+        pytest.param(6, 10, 2_154, id="6-10"),
+        pytest.param(5, 15, 123_819, id="5-15", marks=pytest.mark.slow),
     ])
     def test_order_7_identity_meets_conjecture(self, k, best, nodes):
         # nodes_explored pins the search tree at the n = 7 frontier.
@@ -153,38 +153,45 @@ class TestSearchTree:
     # Exact node counts pin the DFS tree, its order and its budget cut
     # points; a kernel change that alters any of them fails here. The two
     # 2x3 patterns have a construction floor far below their maximum, so
-    # the zero cap starts loose there.
+    # the zero cap starts loose there. d3 and e3 are not their own
+    # transposes, so their trees are searched without the transpose rule.
     @pytest.mark.parametrize("n, pattern, config, status, nodes", [
         pytest.param(4, named("i3"), SearchConfig(), "exact", 31, id="4-i3"),
         pytest.param(4, named("b3"), SearchConfig(enumerate_all_extremal=True),
-                     "exact", 112, id="4-b3-all"),
-        pytest.param(5, named("i3"), SearchConfig(), "exact", 726, id="5-i3"),
+                     "exact", 106, id="4-b3-all"),
+        pytest.param(5, named("i3"), SearchConfig(), "exact", 461, id="5-i3"),
         pytest.param(5, named("i3"), SearchConfig(enumerate_all_extremal=True),
-                     "exact", 4_165, id="5-i3-all"),
-        pytest.param(5, named("i4"), SearchConfig(), "exact", 216, id="5-i4"),
-        pytest.param(6, named("i5"), SearchConfig(), "exact", 870, id="6-i5"),
-        pytest.param(6, named("i3"), SearchConfig(), "exact", 41_532, id="6-i3"),
-        pytest.param(6, named("i4"), SearchConfig(), "exact", 24_870, id="6-i4"),
-        pytest.param(5, named("i3"), SearchConfig(node_budget=500),
-                     "budget_exhausted", 501, id="5-i3-budget"),
+                     "exact", 2_550, id="5-i3-all"),
+        pytest.param(5, named("i4"), SearchConfig(), "exact", 206, id="5-i4"),
+        pytest.param(6, named("i5"), SearchConfig(), "exact", 774, id="6-i5"),
+        pytest.param(6, named("i3"), SearchConfig(), "exact", 20_627, id="6-i3"),
+        pytest.param(6, named("i4"), SearchConfig(), "exact", 14_904, id="6-i4"),
+        pytest.param(5, named("i3"), SearchConfig(node_budget=400),
+                     "budget_exhausted", 401, id="5-i3-budget"),
         pytest.param(5, parse("100\n101"), SearchConfig(enumerate_all_extremal=True),
                      "exact", 35, id="5-100_101-all"),
         pytest.param(5, parse("001\n110"), SearchConfig(enumerate_all_extremal=True),
                      "exact", 140, id="5-001_110-all"),
-        pytest.param(6, named("perm:1324"), SearchConfig(), "exact", 45_600, id="6-1324"),
+        pytest.param(6, named("perm:1324"), SearchConfig(), "exact", 27_434, id="6-1324"),
         # A pattern row without zeros: zr = 0, so every mask is a candidate.
         pytest.param(4, parse("1\n0"), SearchConfig(), "exact", 61, id="4-1_0"),
         pytest.param(4, parse("1\n0"), SearchConfig(enumerate_all_extremal=True),
                      "exact", 2_166, id="4-1_0-all"),
+        pytest.param(5, named("d3"), SearchConfig(), "exact", 655, id="5-d3"),
+        pytest.param(5, named("e3"), SearchConfig(), "exact", 3_185, id="5-e3"),
+        pytest.param(5, named("b3"),
+                     SearchConfig(use_dihedral_reduction=True, enumerate_all_extremal=True),
+                     "exact", 3_405, id="5-b3-reduced-all"),
     ])
     def test_nodes_explored(self, n, pattern, config, status, nodes):
         out = search_max(n, pattern, config)
         assert (out.status, out.nodes_explored) == (status, nodes)
 
     # Budget cuts pin where the tree stops and the best level verified by
-    # then. At (6, I_4) node 401 is one of the 25 candidates of a row-3
-    # node that all fail the prefix test (nodes 375-415); the two 2x3
-    # patterns stop between their floor and their maximum.
+    # then. At (6, I_4) node 401 is one of the 20 candidates for row 4
+    # (nodes 386-405) that all fail column reach, the deficit or the
+    # prefix test; the two 2x3 patterns stop between their floor and their
+    # maximum.
     @pytest.mark.parametrize("n, pattern, config, best, nodes", [
         pytest.param(6, named("i4"), SearchConfig(node_budget=400), 14, 401, id="6-i4-400"),
         pytest.param(5, parse("001\n110"),
@@ -199,6 +206,27 @@ class TestSearchTree:
         assert (out.status, out.best_ones, out.nodes_explored) == ("budget_exhausted", best, nodes)
         assert all(is_strongly_forcing(w, pattern) and w.ones_count() == best
                    for w in out.witnesses)
+
+
+class TestTransposeRule:
+    # A pattern equal to its transpose searches one of each pair {M, M^T}
+    # and puts the skipped transposes back into a level set.
+    def test_symmetric_patterns_match_the_sweep_at_order_4(self):
+        symmetric = [q for q in all_nonzero_patterns(3) if q.transpose() == q]
+        assert len(symmetric) == 71
+        for q in symmetric:
+            want_best, want_level = oracle_max_strong(4, q)
+            out = search_max(4, q, SearchConfig(enumerate_all_extremal=True))
+            assert (out.status, out.best_ones, list(out.witnesses)) == ("exact", want_best, want_level)
+
+    @pytest.mark.parametrize("pattern", [
+        named("h3"), named("perm:1432"), named("perm:4321"), parse("101\n000\n101"),
+        parse("101\n010\n101"),
+    ], ids=["h3", "1432", "4321", "101_000_101", "101_010_101"])
+    def test_level_sets_are_closed_under_transpose(self, pattern):
+        level = search_max(5, pattern, SearchConfig(enumerate_all_extremal=True)).witnesses
+        assert any(w.transpose() != w for w in level)
+        assert {w.transpose() for w in level} == set(level)
 
 
 class TestSplitFloor:
@@ -343,6 +371,16 @@ class TestResultsCache:
         assert hit.elapsed < 3600.0
         assert hit.nodes_explored == out.nodes_explored
 
+    def test_file_bytes_do_not_depend_on_the_search_time(self, tmp_path):
+        out = search_max(4, identity(2))
+        texts = []
+        for elapsed in (0.001, 3600.0):
+            cache = ResultsCache(tmp_path / f"{elapsed}.json")
+            cache.put(4, identity(2), replace(out, elapsed=elapsed), all_extremal=False)
+            cache.save()
+            texts.append(cache.path.read_bytes())
+        assert texts[0] == texts[1]
+
     def test_failed_save_leaves_previous_file_loadable(self, tmp_path, monkeypatch):
         path = tmp_path / "results.json"
         cache = ResultsCache(path)
@@ -420,13 +458,13 @@ class TestResultsCache:
         assert self.payload(reloaded.get(4, identity(3))) == self.payload(out3)
 
     def test_hit_is_served_only_within_the_node_budget(self, tmp_path):
-        # (5, I_3) is exact in 726 nodes; a smaller budget must cut the
+        # (5, I_3) is exact in 461 nodes; a smaller budget must cut the
         # search where a cold one would, not return the stored answer.
         cache = ResultsCache(tmp_path / "results.json")
         exact = search_max(5, identity(3), cache=cache)
-        assert (exact.status, exact.nodes_explored) == ("exact", 726)
-        for budget, status, nodes in [(10, "budget_exhausted", 11), (725, "budget_exhausted", 726),
-                                      (726, "exact", 726)]:
+        assert (exact.status, exact.nodes_explored) == ("exact", 461)
+        for budget, status, nodes in [(10, "budget_exhausted", 11), (460, "budget_exhausted", 461),
+                                      (461, "exact", 461)]:
             config = SearchConfig(node_budget=budget)
             got = search_max(5, identity(3), config, cache=cache)
             assert self.payload(got) == self.payload(search_max(5, identity(3), config))
