@@ -5,6 +5,13 @@ column j, so popcounts, row masking and window extraction are single int
 operations. Bits at or above ``cols`` are always zero; the constructor
 enforces this so ``int.bit_count`` totals are exact.
 
+Text conversions run in builtins rather than per bit: a row's text is its
+``format(row, "b")`` digits, zero-padded to ``cols`` and reversed so column 0
+comes first, and parse packs a line with ``int(line[::-1], 2)`` once counting
+its '0's and '1's has shown it holds nothing else (``int`` would also take
+signs, underscores, spaces and non-ASCII digits). transpose and reflect_v go
+through the same row text.
+
 Indexing is 0-based everywhere in this package. Anything user-facing
 (CLI output, error messages, JSON reports) converts to 1-based at the edge.
 Instances are frozen and hashable, hence safe to share across threads.
@@ -43,9 +50,9 @@ class BitMatrix:
         if len(self.bits) != self.rows:
             raise ValueError(f"expected {self.rows} packed rows, got {len(self.bits)}")
         limit = 1 << self.cols
-        for i, row in enumerate(self.bits):
-            if not 0 <= row < limit:
-                raise ValueError(f"row {i + 1} has bits outside the declared {self.cols} columns")
+        if min(self.bits) < 0 or max(self.bits) >= limit:
+            i = next(i for i, row in enumerate(self.bits) if not 0 <= row < limit)
+            raise ValueError(f"row {i + 1} has bits outside the declared {self.cols} columns")
 
     # -- entry access ----------------------------------------------------
 
@@ -56,7 +63,7 @@ class BitMatrix:
         return (self.bits[i] >> j) & 1
 
     def ones_count(self) -> int:
-        return sum(row.bit_count() for row in self.bits)
+        return sum(map(int.bit_count, self.bits))
 
     def zeros_count(self) -> int:
         return self.rows * self.cols - self.ones_count()
@@ -72,13 +79,11 @@ class BitMatrix:
     # -- shape transforms ------------------------------------------------
 
     def transpose(self) -> "BitMatrix":
-        out = [0] * self.cols
-        for i, row in enumerate(self.bits):
-            while row:
-                low = row & -row
-                out[low.bit_length() - 1] |= 1 << i
-                row ^= low
-        return BitMatrix(self.cols, self.rows, tuple(out))
+        # Column j read from the last row up is the text of transposed row j
+        # with its last column first, as int(text, 2) reads it.
+        texts = [_row_text(row, self.cols) for row in reversed(self.bits)]
+        return BitMatrix(self.cols, self.rows,
+                         tuple(int("".join(col), 2) for col in zip(*texts)))
 
     def reflect_h(self) -> "BitMatrix":
         """Reverse the row order: entry (i, j) moves to (rows-1-i, j)."""
@@ -87,15 +92,7 @@ class BitMatrix:
     def reflect_v(self) -> "BitMatrix":
         """Reverse the column order: entry (i, j) moves to (i, cols-1-j)."""
         n = self.cols
-        out = []
-        for row in self.bits:
-            rev = 0
-            while row:
-                low = row & -row
-                rev |= 1 << (n - low.bit_length())
-                row ^= low
-            out.append(rev)
-        return BitMatrix(self.rows, n, tuple(out))
+        return BitMatrix(self.rows, n, tuple(int(_row_text(row, n), 2) for row in self.bits))
 
     # -- selection -------------------------------------------------------
 
@@ -159,7 +156,8 @@ def _check_selection(sel: Sequence[int], bound: int, what: str) -> None:
 
 
 def _row_text(row: int, cols: int) -> str:
-    return "".join("1" if (row >> j) & 1 else "0" for j in range(cols))
+    # Column 0 first: the binary digits of the row, lowest bit last, reversed.
+    return format(row, f"0{cols}b")[::-1]
 
 
 # -- constructors ----------------------------------------------------------
@@ -229,13 +227,11 @@ def parse(text: str) -> BitMatrix:
     for k, line in enumerate(lines):
         if len(line) != width:
             raise MatrixFormatError(f"row {k + 1} has {len(line)} columns, expected {width}")
-        row = 0
-        for j, ch in enumerate(line):
-            if ch == "1":
-                row |= 1 << j
-            elif ch != "0":
-                raise MatrixFormatError(f"row {k + 1} column {j + 1}: invalid character {ch!r}")
-        packed.append(row)
+        # Counting proves every character a '0' or '1' before int() sees it.
+        if line.count("0") + line.count("1") != width:
+            j, ch = next((j, ch) for j, ch in enumerate(line) if ch not in "01")
+            raise MatrixFormatError(f"row {k + 1} column {j + 1}: invalid character {ch!r}")
+        packed.append(int(line[::-1], 2))
 
     if declared is not None and declared != (len(packed), width):
         raise MatrixFormatError(

@@ -1,10 +1,17 @@
 """Strongly pattern-forcing matrices: checks, constructions, and exact search.
 
 A matrix A is strongly Q-forcing when every 1-entry of A lies inside some
-submatrix of A that equals Q exactly. Where plain forcing asks for minimum
-ones, the natural extremal question here is the maximum: search_max computes
-max ones over strongly forcing square matrices with one zero-placement DFS
-whose zero cap tightens at each verified matrix, so the last one is exact.
+submatrix of A that equals Q exactly. is_strongly_forcing searches a copy
+only through a 1 that no copy found so far covers, and a copy it finds
+covers its runs too: the rows equal to a copy row, reached from it through
+equal rows without passing the copy's rows on either side, can each stand
+in for it, and likewise the columns; a row and a column swapped in
+together still give the pattern, so every 1 they reach is covered.
+
+Where plain forcing asks for minimum ones, the natural extremal question
+here is the maximum: search_max computes max ones over strongly forcing
+square matrices with one zero-placement DFS whose zero cap tightens at each
+verified matrix, so the last one is exact.
 Each row walks one candidate list: the zero masks with at least zr zeros, zr
 being the fewest zeros of a pattern row holding a 1, by zero count and then
 by mask. The walk ends at the first mask whose zeros leave the cap too few
@@ -82,11 +89,12 @@ def _witness_through(abits, m: int, n: int, qbits, t: int, q_ones, p_min: int,
     a row whose bit at c differs from pattern row i's bit at x can never
     match and is skipped on that one bit. Each other row tried takes one
     pass over the pattern columns: it narrows column j's mask of matrix
-    columns still consistent with the rows chosen so far and picks the
-    smallest of them above column j-1's pick, rejecting the row as soon as
-    none is left. That greedy pick is the least increasing column selection,
-    which exists whenever any does; the picks are carried down with the
-    masks, so the last accepted row's picks are the copy's columns.
+    columns still consistent with the rows chosen so far, and rejects the
+    row as soon as no column of a mask lies above the least one the masks
+    before it allow. Only the masks are carried down. Once the last row is
+    accepted, the same greedy reads the copy's columns off the final masks
+    once: the smallest column of each mask above the previous one, which is
+    the least increasing column selection and exists whenever any does.
 
     With tails, a dict, the walk collects instead of returning: it looks for
     every copy whose last row is row m, one past the given rows, whose bits
@@ -113,7 +121,7 @@ def _witness_through(abits, m: int, n: int, qbits, t: int, q_ones, p_min: int,
         if r < y or mm - 1 - r < s - 1 - y or c < x or n - 1 - c < t - 1 - x:
             continue
         qrow = qbits[y]
-        masks, picks, col = [], [], -1
+        masks, col = [], -1
         for j in range(t):
             mask = ones_r if (qrow >> j) & 1 else zeros_r
             if j == x:
@@ -123,14 +131,18 @@ def _witness_through(abits, m: int, n: int, qbits, t: int, q_ones, p_min: int,
                 break
             col += (avail & -avail).bit_length()
             masks.append(mask)
-            picks.append(col)
         else:
             rows_sel = [m] * s
             rows_sel[y] = r
 
-            def assign(i: int, prev: int, masks: list[int], picks: list[int]):
+            def assign(i: int, prev: int, masks: list[int]):
                 if i == last:
                     if not tail:
+                        picks, col = [], -1
+                        for mask in masks:
+                            avail = mask >> (col + 1)
+                            col += (avail & -avail).bit_length()
+                            picks.append(col)
                         return picks
                     # The latest pick each column can take and still leave
                     # room for the columns after it; then every selection,
@@ -162,7 +174,7 @@ def _witness_through(abits, m: int, n: int, qbits, t: int, q_ones, p_min: int,
                         tails.setdefault((columns, wanted), (s, cells))
                     return None
                 if i == y:
-                    return assign(i + 1, r, masks, picks)
+                    return assign(i + 1, r, masks)
                 hi = r - (y - i) if i < y else mm - (s - i)
                 qrow_i = qbits[i]
                 anchor_bit = (qrow_i >> x) & 1
@@ -170,7 +182,7 @@ def _witness_through(abits, m: int, n: int, qbits, t: int, q_ones, p_min: int,
                     arow = abits[rr]
                     if (arow >> c) & 1 != anchor_bit:
                         continue
-                    nxt, nxt_picks, col = [], [], -1
+                    nxt, col = [], -1
                     for j in range(t):
                         mask = masks[j] & (arow if (qrow_i >> j) & 1 else ~arow & full)
                         avail = mask >> (col + 1)
@@ -178,15 +190,14 @@ def _witness_through(abits, m: int, n: int, qbits, t: int, q_ones, p_min: int,
                             break
                         col += (avail & -avail).bit_length()
                         nxt.append(mask)
-                        nxt_picks.append(col)
                     else:
                         rows_sel[i] = rr
-                        got = assign(i + 1, rr, nxt, nxt_picks)
+                        got = assign(i + 1, rr, nxt)
                         if got is not None:
                             return got
                 return None
 
-            cols = assign(0, -1, masks, picks)
+            cols = assign(0, -1, masks)
             if cols is not None:
                 return tuple(rows_sel), tuple(cols)
     return None
@@ -217,11 +228,18 @@ def is_strongly_forcing(mat: BitMatrix, pattern: BitMatrix) -> bool:
     """True when every 1-entry of mat lies in a submatrix equal to the pattern.
 
     An all-zero matrix passes vacuously, whatever the pattern. One witness
-    search per entry that no copy found so far covers.
+    search per entry that no copy found so far covers. A copy found covers
+    its runs as well: a row equal to copy row y, reached from it through
+    equal rows without passing copy row y - 1 or y + 1, can stand in for it,
+    and likewise a column equal to copy column x for that column. Rows and
+    columns are swapped whole, so the copy through a swapped-in row and a
+    swapped-in column is the same pattern, and each 1 that such a pair of
+    swaps reaches is covered.
     """
     check_fit(mat.rows, mat.cols, pattern)
     abits, m, n = mat.bits, mat.rows, mat.cols
     q_ones = _pattern_ones(pattern)
+    cbits = None
     seen = [0] * m
     for r in range(m):
         row = abits[r] & ~seen[r]
@@ -235,9 +253,43 @@ def is_strongly_forcing(mat: BitMatrix, pattern: BitMatrix) -> bool:
             if got is None:
                 return False
             rows_sel, cols_sel = got
-            for y, x in q_ones:
-                seen[rows_sel[y]] |= 1 << cols_sel[x]
+            if cbits is None:
+                cbits = mat.transpose().bits
+                # With no two equal adjacent rows (columns), each run is the
+                # copy's own row (column).
+                row_runs = any(map(int.__eq__, abits, abits[1:]))
+                col_runs = any(map(int.__eq__, cbits, cbits[1:]))
+            # Each cell of the row runs by the column runs holds the pattern's
+            # entry there; its 0s mark 0s of mat, which are never read.
+            cover = 0
+            if col_runs:
+                cover = _runs(cbits, cols_sel)
+            else:
+                for cc in cols_sel:
+                    cover |= 1 << cc
+            if row_runs:
+                spans = _runs(abits, rows_sel)
+                rows_sel = [rr for rr in range(spans.bit_length()) if spans >> rr & 1]
+            for rr in rows_sel:
+                seen[rr] |= cover
     return True
+
+
+def _runs(lines, sel: tuple[int, ...]) -> int:
+    """Bit i set for each line i equal to some lines[sel[k]] and reached from
+    it through equal lines without stepping onto sel[k - 1] or sel[k + 1]."""
+    spans, floor = 0, -1
+    for k, at in enumerate(sel):
+        line = lines[at]
+        ceil = sel[k + 1] if k + 1 < len(sel) else len(lines)
+        lo, hi = at, at + 1
+        while lo - 1 > floor and lines[lo - 1] == line:
+            lo -= 1
+        while hi < ceil and lines[hi] == line:
+            hi += 1
+        spans |= (1 << hi) - (1 << lo)
+        floor = at
+    return spans
 
 
 class _Completions:

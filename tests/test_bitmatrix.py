@@ -1,5 +1,8 @@
 """Matrix value type: construction, transforms, selections, text format."""
 
+import random
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -211,3 +214,53 @@ class TestTextFormat:
 
     def test_str_is_headerless_body(self):
         assert str(identity(2)) == "10\n01"
+
+
+def wide_matrices():
+    """Seeded matrices at every width 1..130, across the 64-bit boundary,
+    with an all-zero, an all-ones and a top-column-only row among random ones."""
+    rng = random.Random(130)
+    for cols in range(1, 131):
+        rows = [0, (1 << cols) - 1, 1 << (cols - 1)]
+        rows += [rng.getrandbits(cols) for _ in range(rng.randint(0, 3))]
+        rng.shuffle(rows)
+        yield BitMatrix(len(rows), cols, tuple(rows))
+
+
+def reference_body(mat):
+    return "\n".join("".join(str(mat.get(i, j)) for j in range(mat.cols))
+                      for i in range(mat.rows))
+
+
+class TestTextKernels:
+    # The builtin text kernels against a per-bit reference built from get.
+    def test_text_forms_match_the_per_bit_reference(self):
+        for mat in wide_matrices():
+            body = reference_body(mat)
+            assert str(mat) == body
+            assert serialize(mat) == f"{mat.rows} {mat.cols}\n{body}\n"
+            assert parse(body) == parse(serialize(mat)) == mat
+            assert mat.ones_count() == sum(mat.get(i, j) for i in range(mat.rows)
+                                           for j in range(mat.cols))
+
+    def test_transforms_match_the_per_bit_reference(self):
+        for mat in wide_matrices():
+            t, v = mat.transpose(), mat.reflect_v()
+            assert (t.rows, t.cols, v.rows, v.cols) == (mat.cols, mat.rows, mat.rows, mat.cols)
+            for i in range(mat.rows):
+                for j in range(mat.cols):
+                    assert t.get(j, i) == v.get(i, mat.cols - 1 - j) == mat.get(i, j)
+
+    @pytest.mark.parametrize("ch", ["_", "+", "-", "\t", " ", "\uff10", "\u0661"])
+    def test_parse_names_each_character_int_would_take(self, ch):
+        # int(text, 2) accepts underscores, a sign, surrounding whitespace and
+        # non-ASCII digits; parse must name each as an invalid character.
+        for cols in (1, 4, 65, 130):
+            for j in range(0, cols, max(1, cols // 3)):
+                row = "1" * cols
+                bad = row[:j] + ch + row[j + 1:]
+                message = f"row 2 column {j + 1}: invalid character {ch!r}"
+                with pytest.raises(MatrixFormatError, match=re.escape(message)):
+                    parse(f"{row}\n{bad}\n{row}\n")
+                with pytest.raises(MatrixFormatError, match=re.escape(message)):
+                    parse(f"3 {cols}\n{row}\n{bad}\n{row}\n")

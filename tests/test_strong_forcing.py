@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import load, load_matrix, nonzero_patterns
+from conftest import all_nonzero_patterns, load, load_matrix, nonzero_patterns
 from mforce import (
     BitMatrix,
     WitnessEmbedding,
@@ -34,6 +34,7 @@ from mforce import (
     upper_bound_3x3,
     upper_bound_simple,
 )
+from mforce import strong_forcing
 from mforce.strong_forcing import _Completions
 
 
@@ -259,6 +260,99 @@ class TestPrefixCoverage:
                 row, cov = rng.choice(children)
                 rows = rows + [row]
         assert carried > 50 and stuck > 10, (carried, stuck)
+
+
+def flip_near_runs(rng, mat, rows, cols):
+    """mat with one 0 turned to 1, drawn from the 0s in or beside rows
+    rows or columns cols; mat itself when there is none."""
+    zeros = [(r, c) for r, row in enumerate(mat.bits) for c in range(mat.cols)
+             if not row >> c & 1 and (r in rows or c in cols)]
+    if not zeros:
+        return mat
+    r, c = rng.choice(zeros)
+    bits = list(mat.bits)
+    bits[r] |= 1 << c
+    return BitMatrix(mat.rows, mat.cols, tuple(bits))
+
+
+def repeated(rng, base, m, n):
+    """base with each row and column repeated in place, grown to m x n."""
+    row_counts, col_counts = [1] * base.rows, [1] * base.cols
+    for _ in range(m - base.rows):
+        row_counts[rng.randrange(base.rows)] += 1
+    for _ in range(n - base.cols):
+        col_counts[rng.randrange(base.cols)] += 1
+    out = []
+    for row, times in zip(base.bits, row_counts):
+        wide, at = 0, 0
+        for x, width in enumerate(col_counts):
+            if row >> x & 1:
+                wide |= ((1 << width) - 1) << at
+            at += width
+        out += [wide] * times
+    return BitMatrix(m, n, tuple(out))
+
+
+class TestRunCover:
+    # is_strongly_forcing lets one copy cover every 1 that swapping in an
+    # equal row or column beside a copy row or column reaches; these
+    # matrices are made of such runs.
+    def test_linear_zero_constructions_and_flips_match_the_oracle(self):
+        rng = random.Random(20)
+        verdicts = {True: 0, False: 0}
+        for pattern in all_nonzero_patterns(3):
+            s, t = pattern.rows, pattern.cols
+            rr = next(i for i, row in enumerate(pattern.bits) if row)
+            cc = (pattern.bits[rr] & -pattern.bits[rr]).bit_length() - 1
+            for m in range(s, 7):
+                for n in range(t, 7):
+                    built = linear_zero_construction(m, n, pattern)
+                    flipped = flip_near_runs(rng, built, range(rr - 1, rr + m - s + 2),
+                                             range(cc - 1, cc + n - t + 2))
+                    for mat in (built, flipped):
+                        want = oracle_is_strongly_forcing(mat, pattern)
+                        assert is_strongly_forcing(mat, pattern) == want, (mat, pattern)
+                        verdicts[want] += 1
+        assert verdicts[False] > 1000, verdicts
+
+    @pytest.mark.parametrize("text", ["101\n010", "110\n011\n001", "1010\n0101",
+                                      "1111\n1101\n1001\n1111", "100\n001\n010"])
+    def test_one_copy_covers_a_linear_zero_construction(self, text, monkeypatch):
+        # Its repeated row and column are runs of the first copy found.
+        calls = []
+        witness_through = strong_forcing._witness_through
+
+        def counted(*args):
+            calls.append(args)
+            return witness_through(*args)
+
+        monkeypatch.setattr(strong_forcing, "_witness_through", counted)
+        pattern = parse(text)
+        assert is_strongly_forcing(linear_zero_construction(64, 64, pattern), pattern)
+        assert len(calls) == 1
+
+    def test_random_repeated_rows_and_columns_match_the_oracle(self):
+        rng = random.Random(21)
+        verdicts = {True: 0, False: 0}
+        for _ in range(2000):
+            s, t = rng.randint(1, 3), rng.randint(1, 3)
+            pattern = BitMatrix(s, t, tuple(rng.getrandbits(t) for _ in range(s)))
+            if pattern.ones_count() == 0:
+                pattern = make(s, t, 1)
+            # Half the bases are the pattern itself, which its repeats force.
+            if rng.random() < 0.5:
+                base = pattern
+            else:
+                a, b = rng.randint(1, 4), rng.randint(1, 4)
+                base = BitMatrix(a, b, tuple(rng.getrandbits(b) for _ in range(a)))
+            m, n = rng.randint(max(s, base.rows), 7), rng.randint(max(t, base.cols), 7)
+            mat = repeated(rng, base, m, n)
+            if rng.random() < 0.3:
+                mat = flip_near_runs(rng, mat, range(m), range(n))
+            want = oracle_is_strongly_forcing(mat, pattern)
+            assert is_strongly_forcing(mat, pattern) == want, (mat, pattern)
+            verdicts[want] += 1
+        assert min(verdicts.values()) > 300, verdicts
 
 
 class TestLinearZeroConstruction:
