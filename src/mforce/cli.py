@@ -119,6 +119,8 @@ def cmd_check(args: argparse.Namespace) -> int:
     started = time.monotonic()
     if args.witness and args.kind != "strong":
         raise CliError("--witness applies only to check strong")
+    if args.ambient == "-" and args.pattern == "-":
+        raise CliError("--ambient and --pattern cannot both read stdin ('-')")
     ambient = parse(Path(args.ambient).read_text()) if args.ambient != "-" else parse(sys.stdin.read())
     pattern = load_pattern(args.pattern)
     if args.kind == "forcing":

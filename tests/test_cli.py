@@ -181,6 +181,15 @@ class TestCheck:
         assert code == 0
         assert out == "yes\n"
 
+    def test_ambient_and_pattern_both_from_stdin_exits_2(self, capsys, monkeypatch):
+        stdin = io.StringIO(load("s5.txt"))
+        monkeypatch.setattr("sys.stdin", stdin)
+        code, out, err = run_cli(capsys, "check", "strong",
+                                 "--ambient", "-", "--pattern", "-")
+        assert (code, out) == (2, "")
+        assert "--ambient" in err and "--pattern" in err
+        assert stdin.read() == load("s5.txt")  # refused before reading
+
 
 class TestConstruct:
     def test_s_n_matches_fixture(self, capsys, tmp_path):
@@ -352,7 +361,6 @@ class TestVerify:
         assert report["outputs"]["failed"] == 0
         assert report["outputs"]["total"] == len(report["outputs"]["rows"])
 
-    @pytest.mark.slow
     def test_conjecture_suite_may_leave_rows_open(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--suite", "conjecture",
                                "--n-max", "7", "--k-max", "5")
@@ -361,17 +369,6 @@ class TestVerify:
         statuses = {row[4] for row in rows}
         assert "fail" not in statuses
         assert "open" in statuses
-
-    @pytest.mark.slow
-    def test_all_concatenates_every_suite_in_name_order(self, capsys):
-        code, out, _ = run_cli(capsys, "verify", "--suite", "all",
-                               "--n-max", "4", "--k-max", "3")
-        assert code == 0
-        got = [row[:5] for row in list(csv.reader(io.StringIO(out)))[1:]]
-        # The pinned report holds every suite's rows, less millis, with the
-        # suites in name order.
-        with open(DATA / "verify_all_n4_k3.csv", newline="") as pinned:
-            assert got == list(csv.reader(pinned))[1:]
 
     def test_oracle_sweeps_respect_n_max(self):
         rows_3x3 = run_suite("3x3", n_max=3)
