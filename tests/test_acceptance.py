@@ -1,12 +1,13 @@
-"""Acceptance suite: the pinned verify report, and the end-to-end checks it lacks.
+"""Acceptance suite: the pinned verify report, and end-to-end checks of each claim.
 
 `mforce verify --suite all` at its default limits replays every result the
 package checks against the paper. Its rows, less the millis timing column,
-are pinned in tests/data/verify_all_default.csv, and that file is the one
+are pinned in tests/data/verify_all_default.csv, and that file is the
 acceptance record: the replay below compares it byte for byte, `open` rows
 included, and CI diffs it against a subprocess run. The other tests here
-check what no row of that report covers. Everything is exact; there are no
-tolerances.
+check each headline claim against independent recomputation (subset
+oracles, exhaustive sweeps, closed forms), and what no row of that report
+covers. Everything is exact; there are no tolerances.
 """
 
 import csv
@@ -20,18 +21,38 @@ from conftest import all_nonzero_patterns, load, load_matrix, nonzero_patterns
 from mforce import (
     BitMatrix,
     SearchConfig,
+    all_permutation_matrices,
     apply_symmetry,
+    conjectured_max_identity,
+    core,
     dihedral_class,
     direct_sum,
+    extremal_2x2,
+    extremal_identity_witness,
+    hankel,
     identity,
     is_strongly_forcing,
     linear_zero_construction,
     make,
     min_ones,
+    min_ones_boundary,
+    min_ones_core,
+    min_ones_general,
+    minimal_forcing,
+    named,
+    oracle_max_strong,
+    oracle_minimal_forcing,
+    perm_max_extremal,
+    perm_max_m,
+    perm_min_bound,
+    perm_min_equality,
     search_max,
+    serialize,
     split_witness,
+    upper_bound_simple,
 )
 from mforce.cli import main
+from mforce.forcing import minimal_forcing_from_corners
 
 
 class TestPinnedReport:
@@ -45,14 +66,51 @@ class TestPinnedReport:
         assert code == 0
 
 
+class TestWorkedExampleReproduction:
+    """The 7x6 pattern and its unique 14x12 minimum forcing matrix."""
+
+    def test_window_and_corner_assembly_match_fixture(self):
+        q = load_matrix("example_pattern_7x6.txt")
+        fixture = load("example_minimal_14x12.txt")
+        assert serialize(minimal_forcing(14, 12, q)) == fixture
+        assert serialize(minimal_forcing_from_corners(14, 12, q)) == fixture
+
+
 class TestWindowEqualsSubsetOracle:
-    """The sweep family: every nonzero pattern up to 3x3 (673 of them, a
-    superset of the 511 full 3x3 patterns)."""
+    """The contiguous-window union equals the all-subsets union everywhere.
+
+    Sweep: every nonzero pattern up to 3x3 (673 of them, a superset of the
+    511 full 3x3 patterns) against every ambient with 4 <= m, n <= 7.
+    """
 
     def test_sweep_family_has_673_patterns(self):
         patterns = list(all_nonzero_patterns())
         assert len(patterns) == len(set(patterns)) == 673
         assert all(q.ones_count() and q.rows <= 3 and q.cols <= 3 for q in patterns)
+
+    def test_exhaustive_agreement(self):
+        for q in all_nonzero_patterns():
+            for m in range(4, 8):
+                for n in range(4, 8):
+                    assert minimal_forcing(m, n, q) == oracle_minimal_forcing(m, n, q)
+
+
+class TestClosedFormAgreement:
+    """Every applicable closed form equals the constructed matrix's count."""
+
+    def test_all_formulas_on_the_sweep_family(self):
+        for q in all_nonzero_patterns():
+            s, t = q.rows, q.cols
+            dec = core(q)
+            boundary_applies = (dec.core.rows, dec.core.cols) == (s, t)
+            for m in range(max(4, 2 * s), 8):
+                for n in range(max(4, 2 * t), 8):
+                    want = minimal_forcing(m, n, q).ones_count()
+                    assert min_ones_general(m, n, q) == want
+                    assert min_ones_core(m, n, q) == want
+                    assert min_ones(m, n, q).value == want
+                    if boundary_applies:
+                        assert min_ones_boundary(m, n, q) == want
 
 
 class TestNonMonotoneContainmentChain:
@@ -71,6 +129,76 @@ class TestNonMonotoneContainmentChain:
                 assert b == (m - 1) * (n - 1)
                 assert a > b
                 assert c > b
+
+
+class TestPermutationMinimumBound:
+    """n^2 - k(k-1) bounds every permutation; only the diagonals attain it."""
+
+    def test_exhaustive_for_k_2_3_4(self):
+        for k in (2, 3, 4):
+            n = 2 * k
+            bound = perm_min_bound(n, k)
+            attained = set()
+            for p in all_permutation_matrices(k):
+                value = min_ones(n, n, p).value
+                assert value >= bound
+                assert (value == bound) == perm_min_equality(p)
+                if value == bound:
+                    attained.add(p)
+            assert attained == {identity(k), hankel(k)}
+
+
+class TestPermutationMinimumMaximum:
+    """The largest forcing minimum over k x k permutations, with extremals."""
+
+    def test_piecewise_values_and_quadruple_characterisation(self):
+        for k in range(1, 6):
+            n = 2 * k + 2
+            values = {
+                p: min_ones(n, n, p).value for p in all_permutation_matrices(k)
+            }
+            assert max(values.values()) == perm_max_m(n, k)
+            if k >= 4:
+                for p, value in values.items():
+                    assert (value == perm_max_m(n, k)) == perm_max_extremal(p)
+
+
+class TestRisingPairMaximum:
+    """Maximum strongly forcing matrices for the 2x2 identity pattern."""
+
+    def test_sweep_uniqueness_orders_2_to_4(self):
+        for n in (2, 3, 4):
+            best, level = oracle_max_strong(n, identity(2))
+            assert best == n * n - n
+            assert level == [extremal_2x2(n, "i2")]
+
+    def test_search_reproduces_through_order_6(self):
+        for n in range(2, 7):
+            out = search_max(
+                n, identity(2), SearchConfig(enumerate_all_extremal=True)
+            )
+            assert out.status == "exact"
+            assert out.best_ones == n * n - n
+            assert out.witnesses == (extremal_2x2(n, "i2"),)
+
+
+class Test3x3PermutationMaxima:
+    """All six 3x3 permutation patterns share the same exact maxima."""
+
+    WORDS = ("i3", "b3", "c3", "d3", "e3", "h3")
+
+    def test_search_orders_4_and_5(self):
+        for name in self.WORDS:
+            q = named(name)
+            four = search_max(4, q)
+            five = search_max(5, q)
+            assert (four.status, four.best_ones) == ("exact", 7)
+            assert (five.status, five.best_ones) == ("exact", 13)
+
+    def test_order_4_sweep_confirms(self):
+        for name in self.WORDS:
+            best, _ = oracle_max_strong(4, named(name))
+            assert best == 7
 
 
 class TestDihedralTransfer:
@@ -126,6 +254,18 @@ class TestLinearZeroSample:
                 q.zeros_count() + (n - t) * z_col + (m - s) * z_row
             )
             seen += 1
+
+
+class TestConjectureConstructions:
+    """The block witnesses meet the conjectured identity-pattern maximum."""
+
+    def test_witness_counts_and_strength(self):
+        for k in range(3, 7):
+            for n in range(k, k + 7):
+                built = extremal_identity_witness(n, k)
+                assert built.ones_count() == conjectured_max_identity(n, k)
+                assert is_strongly_forcing(built, identity(k))
+                assert conjectured_max_identity(n, k) <= upper_bound_simple(n, k)
 
 
 class TestPropertySuite:

@@ -370,6 +370,19 @@ class TestVerify:
         assert "fail" not in statuses
         assert "open" in statuses
 
+    def test_all_concatenates_every_suite_in_name_order(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--suite", "all",
+                               "--n-max", "4", "--k-max", "3")
+        assert code == 0
+        got = [row[:5] for row in list(csv.reader(io.StringIO(out)))[1:]]
+        # The pinned default report holds every suite's rows, less millis,
+        # with the suites in name order; the lower limits keep 54 of them,
+        # in the same order.
+        with open(DATA / "verify_all_default.csv", newline="") as pinned:
+            kept = [row for row in list(csv.reader(pinned))[1:] if row in got]
+        assert got == kept
+        assert len(got) == 54
+
     def test_oracle_sweeps_respect_n_max(self):
         rows_3x3 = run_suite("3x3", n_max=3)
         assert not any(row.theorem_id == "max-strong-3x3-sweep" for row in rows_3x3)

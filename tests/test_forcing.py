@@ -163,7 +163,6 @@ class TestMinimalForcing:
         got = minimal_forcing(14, 12, q)
         assert got == load_matrix("example_minimal_14x12.txt")
         assert got.ones_count() == 147
-        assert minimal_forcing_from_corners(14, 12, q) == got
 
     def test_exact_dimensions_returns_pattern(self):
         q = load_matrix("example_pattern_7x6.txt")
@@ -296,6 +295,14 @@ class TestPermutationForcing:
     def test_min_bound_guard(self):
         with pytest.raises(ValueError):
             perm_min_bound(5, 3)
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_bound_holds_with_equality_exactly_on_diagonals(self, k):
+        n = 2 * k
+        for q in all_permutation_matrices(k):
+            value = min_ones(n, n, q).value
+            assert value >= perm_min_bound(n, k)
+            assert (value == perm_min_bound(n, k)) == perm_min_equality(q)
 
     def test_equality_members(self):
         assert perm_min_equality(identity(5))
