@@ -54,8 +54,10 @@ def load_pattern(spec: str) -> BitMatrix:
     """Resolve a pattern argument: built-in name, then file path, then stdin."""
     try:
         return named(spec)
-    except ValueError:
-        pass
+    except ValueError as exc:
+        # A perm: word is a name, so its own fault is the one to report.
+        if spec.lower().startswith("perm:") and not Path(spec).exists():
+            raise CliError(str(exc)) from None
     if spec == "-":
         return parse(sys.stdin.read())
     path = Path(spec)

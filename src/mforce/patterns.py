@@ -17,7 +17,9 @@ PERM_WORD_ALIASES = {
     "e3": (2, 0, 1),  # 312
 }
 
-_FAMILY = re.compile(r"^([ihj])([1-9]\d*)$")
+# Names are matched whole and in ASCII digits only, as parse reads matrix text.
+_FAMILY = re.compile(r"([ihj])([1-9][0-9]*)")
+_PERM_WORD = re.compile(r"[0-9]+(,[0-9]+)*")
 
 
 def permutation_matrix(images: Sequence[int]) -> BitMatrix:
@@ -58,12 +60,13 @@ def named(name: str) -> BitMatrix:
     Families: i<k> identity, h<k> anti-diagonal, j<k> all-one. Fixed aliases
     b3, c3, d3, e3 cover the 3x3 permutation words 132, 213, 231, 312
     (i3 is 123 and h3 is 321). perm:<word> builds any permutation matrix
-    from a 1-based one-line word, digits or comma-separated.
+    from a 1-based one-line word: ASCII digits, one per entry, or
+    comma-separated groups of them. Anything else is a malformed word.
     """
     key = name.lower()
     if key in PERM_WORD_ALIASES:
         return permutation_matrix(PERM_WORD_ALIASES[key])
-    m = _FAMILY.match(key)
+    m = _FAMILY.fullmatch(key)
     if m:
         family, k = m.group(1), int(m.group(2))
         if family == "i":
@@ -73,11 +76,10 @@ def named(name: str) -> BitMatrix:
         return make(k, k, 1)
     if key.startswith("perm:"):
         word = key[len("perm:"):]
-        if "," in word:
-            entries = [int(p) for p in word.split(",")]
-        elif word.isdigit():
-            entries = [int(ch) for ch in word]
-        else:
+        if not _PERM_WORD.fullmatch(word):
             raise ValueError(f"malformed permutation word {word!r}")
-        return permutation_matrix([v - 1 for v in entries])
+        entries = [int(p) - 1 for p in (word.split(",") if "," in word else word)]
+        if sorted(entries) != list(range(len(entries))):
+            raise ValueError(f"permutation word {word!r} is not a permutation of 1..{len(entries)}")
+        return permutation_matrix(entries)
     raise ValueError(f"unknown pattern name {name!r}")

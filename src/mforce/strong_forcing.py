@@ -35,8 +35,9 @@ row with its 1 below the diagonal is skipped, its transpose being kept; a
 row that settles the comparison turns the test off below it. A level set
 gets each kept matrix's transpose back. The search starts from a
 construction floor. For a separable permutation that is split_witness, one
-stacking rule: direct sums of the parts' witnesses, with skew sums built
-through a row reversal.
+memoised recursion that builds each (permutation, order) witness once: direct
+sums of the parts' witnesses, skew sums through a row reversal. Every named
+permutation witness comes out of it, extremal_2x2 included.
 """
 
 from __future__ import annotations
@@ -51,8 +52,8 @@ from pathlib import Path
 from typing import Iterable
 
 from .bitmatrix import (
-    BitMatrix, Position, check_fit, check_pattern, direct_sum, identity, make, parse,
-    serialize,
+    BitMatrix, Position, check_fit, check_pattern, direct_sum, hankel, identity, make,
+    parse, serialize,
 )
 from .patterns import is_permutation_matrix, permutation_matrix, permutation_of
 
@@ -422,82 +423,66 @@ def linear_zero_construction(m: int, n: int, pattern: BitMatrix) -> BitMatrix:
 def extremal_2x2(n: int, variant: str = "i2") -> BitMatrix:
     """The unique maximum strongly forcing matrix for a 2x2 permutation pattern.
 
-    All ones except one zero per row: the anti-diagonal zeroed for the
-    identity pattern ("i2"), the main diagonal zeroed for the anti-identity
-    ("h2"). Ones count is n^2 - n.
+    The split witness of the pattern: all ones except one zero per row, the
+    anti-diagonal zeroed for the identity ("i2") and, through the row
+    reversal, the main diagonal zeroed for the anti-identity ("h2"). Ones
+    count is n^2 - n.
     """
     if n < 2:
         raise ValueError("order must be at least 2")
-    full = (1 << n) - 1
-    if variant == "i2":
-        rows = tuple(full & ~(1 << (n - 1 - i)) for i in range(n))
-    elif variant == "h2":
-        rows = tuple(full & ~(1 << i) for i in range(n))
-    else:
+    if variant not in ("i2", "h2"):
         raise ValueError(f"unknown variant {variant!r}, expected 'i2' or 'h2'")
-    return BitMatrix(n, n, rows)
+    return split_witness(n, identity(2) if variant == "i2" else hankel(2))
 
 
 def split_witness(n: int, pattern: BitMatrix) -> BitMatrix | None:
     """Strongly forcing n x n witness for a separable permutation, else None.
 
-    Base cases: all ones for the 1 x 1 pattern, extremal_2x2(n, "i2") for
-    12. A permutation whose first c rows map onto its first c columns is a
-    direct sum, forced by the direct sum of its parts' witnesses. One with
-    no such cut gets the row reversal of its row reversal's witness; that
-    reversal has a cut exactly when the permutation is a skew sum. Ties
-    keep the first best cut c, then part order n1 of n1 + n2 = n, both
-    increasing. Ones counts are compared first; only the best is built.
+    Base cases: all ones for the 1 x 1 pattern, and for 12 all ones with the
+    anti-diagonal zeroed. A permutation whose first c rows map onto its first
+    c columns is a direct sum, forced by the direct sum of its parts'
+    witnesses. One with no such cut gets the row reversal of its row
+    reversal's witness; that reversal has a cut exactly when the permutation
+    is a skew sum. Ties keep the first best cut c, then part order n1 of
+    n1 + n2 = n, both increasing. Ones counts are compared first; each
+    (permutation, order) is built once.
     """
     check_fit(n, n, pattern)
     if not is_permutation_matrix(pattern):
         return None
-    # plan[perm, m]: (ones, c, m1) for the best split of perm at order m,
-    # with c = 0 for the row reversal; None when perm is not separable.
-    plan: dict[tuple[tuple[int, ...], int], tuple[int, int, int] | None] = {}
 
     def cuts(perm: tuple[int, ...]) -> list[int]:
         return [c for c in range(1, len(perm)) if max(perm[:c]) == c - 1]
 
-    def best(perm: tuple[int, ...], m: int) -> int | None:
-        key = (perm, m)
-        if key not in plan:
-            k, got = len(perm), None
-            if k == 1:
-                got = (m * m, 0, 0)
-            elif perm == (0, 1):
-                got = (m * m - m, 0, 0)
-            elif split := cuts(perm):
-                # best(perm, m) is convex in m: m^2 and m^2 - m are, and a
-                # split's value is then the larger of its two end-point sums,
-                # each convex in m. The sum over m1 is convex too, so its
-                # first maximum lies at an end of the range.
-                for c in split:
-                    left, right = perm[:c], tuple(x - c for x in perm[c:])
-                    for m1 in (c, m - (k - c)):
-                        a, b = best(left, m1), best(right, m - m1)
-                        if a is None or b is None:
-                            break
-                        if got is None or a + b > got[0]:
-                            got = (a + b, c, m1)
-            elif cuts(perm[::-1]):
-                ones = best(perm[::-1], m)
-                got = None if ones is None else (ones, 0, 0)
-            plan[key] = got
-        return None if plan[key] is None else plan[key][0]
-
-    def build(perm: tuple[int, ...], m: int) -> BitMatrix:
-        _, c, m1 = plan[perm, m]
-        if len(perm) == 1:
-            return make(m, m, 1)
+    @lru_cache(maxsize=None)
+    def witness(perm: tuple[int, ...], m: int) -> tuple[int, BitMatrix] | None:
+        """(ones, matrix) of perm's witness at order m; None when perm is not separable."""
+        k = len(perm)
+        if k == 1:
+            return m * m, make(m, m, 1)
         if perm == (0, 1):
-            return extremal_2x2(m, "i2")
-        if c == 0:
-            return build(perm[::-1], m).reflect_h()
-        return direct_sum(build(perm[:c], m1), build(tuple(x - c for x in perm[c:]), m - m1))
+            full = (1 << m) - 1
+            return m * m - m, BitMatrix(m, m, tuple(full & ~(1 << (m - 1 - i)) for i in range(m)))
+        if not (split := cuts(perm)):
+            got = witness(perm[::-1], m) if cuts(perm[::-1]) else None
+            return None if got is None else (got[0], got[1].reflect_h())
+        # witness(perm, m)'s ones are convex in m: m^2 and m^2 - m are, and a
+        # split's value is then the larger of its two end-point sums, each
+        # convex in m. The sum over m1 is convex too, so its first maximum
+        # lies at an end of the range.
+        best = None
+        for c in split:
+            left, right = perm[:c], tuple(x - c for x in perm[c:])
+            for m1 in (c, m - (k - c)):
+                a, b = witness(left, m1), witness(right, m - m1)
+                if a is None or b is None:
+                    return None
+                if best is None or a[0] + b[0] > best[0]:
+                    best = (a[0] + b[0], a[1], b[1])
+        return best[0], direct_sum(best[1], best[2])
 
-    perm = permutation_of(pattern)
-    return None if best(perm, n) is None else build(perm, n)
+    got = witness(permutation_of(pattern), n)
+    return None if got is None else got[1]
 
 
 def extremal_identity_witness(n: int, k: int) -> BitMatrix:
@@ -666,10 +651,11 @@ def search_max(n: int, pattern: BitMatrix, config: SearchConfig | None = None,
     of each pair M != M^T is searched, by the rule in the module docstring,
     and a level set adds the transposes of those it found. With
     use_dihedral_reduction the question becomes that of the pattern's
-    canonical_with_ops image, whose witnesses are mapped back at the end. A cache stores exact outcomes only, under the key of
-    that question, and serves a hit only when no node budget is set or the
-    hit's nodes_explored fits in it; a time budget never refuses one. The
-    module docstring describes the search itself.
+    canonical_with_ops image, whose witnesses are mapped back at the end. A
+    cache stores exact outcomes only, under the key of that question, and
+    serves a hit only when no node budget is set or the hit's nodes_explored
+    fits in it; a time budget never refuses one. The module docstring
+    describes the search itself.
     """
     config = config or SearchConfig()
     check_pattern(n, n, pattern)

@@ -47,6 +47,21 @@ class TestPatternResolution:
         assert code == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize("spec, message", [
+        ("perm:11", "permutation word '11' is not a permutation of 1..2"),
+        ("perm:2,1,3,3", "permutation word '2,1,3,3' is not a permutation of 1..4"),
+        ("perm:+2,1", "malformed permutation word '+2,1'"),
+        ("perm:\u0662\u0661", "malformed permutation word '\u0662\u0661'"),
+    ])
+    def test_a_bad_perm_word_reports_its_own_fault(self, capsys, spec, message):
+        code, out, err = run_cli(capsys, "search", "--n", "4", "--pattern", spec)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_a_file_named_like_a_perm_word_is_read(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "perm:11").write_text("2 2\n01\n10\n")
+        assert load_pattern("perm:11") == parse("01\n10\n")
+
 
 class TestMin:
     def test_count_output(self, capsys):

@@ -94,3 +94,22 @@ class TestNamedPatterns:
     def test_unknown_names_rejected(self, bad):
         with pytest.raises(ValueError):
             named(bad)
+
+    @pytest.mark.parametrize("bad", [
+        "perm:+2,1", "perm: 2, 1", "perm:2,1 ", "perm:2_1", "perm:\u0662\u0661",
+        "perm:2,,1", "perm:2,1,", "perm:", "perm:21\n",
+    ])
+    def test_perm_words_take_ascii_digits_only(self, bad):
+        # int() would read each of these; a word is ASCII digits or comma-separated groups.
+        with pytest.raises(ValueError, match="malformed permutation word"):
+            named(bad)
+
+    @pytest.mark.parametrize("bad", ["i\u0663", "i1\u0662", "h3\n", "j 2"])
+    def test_family_names_take_ascii_digits_only(self, bad):
+        with pytest.raises(ValueError, match="unknown pattern name"):
+            named(bad)
+
+    @pytest.mark.parametrize("word", ["11", "2,1,3,3", "0,1", "13"])
+    def test_perm_words_that_repeat_or_skip_an_entry(self, word):
+        with pytest.raises(ValueError, match="is not a permutation of 1.."):
+            named(f"perm:{word}")

@@ -390,12 +390,25 @@ class TestLinearZeroConstruction:
             linear_zero_construction(2, 2, identity(3))
 
 
+def literal_2x2(n, variant):
+    """All ones but row i's zero: at column n-1-i for i2, at column i for h2."""
+    zero = (lambda i: n - 1 - i) if variant == "i2" else (lambda i: i)
+    return parse("".join(
+        "".join("0" if j == zero(i) else "1" for j in range(n)) + "\n" for i in range(n)
+    ))
+
+
 class TestExtremalWitnesses:
     def test_2x2_shapes(self):
         assert extremal_2x2(2, "i2") == identity(2)
         assert extremal_2x2(2, "h2") == hankel(2)
         assert extremal_2x2(4, "i2") == parse("1110\n1101\n1011\n0111\n")
         assert extremal_2x2(4, "h2") == parse("0111\n1011\n1101\n1110\n")
+        # extremal_2x2 is split_witness's 2x2 case, so it is compared with
+        # a build from the definition, not with split_witness.
+        for n in range(2, 13):
+            for variant in ("i2", "h2"):
+                assert (n, variant, extremal_2x2(n, variant)) == (n, variant, literal_2x2(n, variant))
 
     def test_2x2_guards(self):
         with pytest.raises(ValueError):
@@ -502,7 +515,7 @@ def reference_split(perm, m):
     if k == 1:
         return make(m, m, 1)
     if perm == (0, 1):
-        return extremal_2x2(m, "i2")
+        return literal_2x2(m, "i2")
     cuts = [c for c in range(1, k) if max(perm[:c]) == c - 1]
     if not cuts:
         rev = perm[::-1]
