@@ -213,7 +213,8 @@ def parse(text: str) -> BitMatrix:
     declared: tuple[int, int] | None = None
     if " " in lines[0]:
         parts = lines[0].split()
-        if len(parts) != 2 or not all(p.isdigit() for p in parts):
+        # ASCII digits only: str.isdigit also takes '²' and '２'.
+        if len(parts) != 2 or not all(p.isascii() and p.isdigit() for p in parts):
             raise MatrixFormatError(f"malformed header line {lines[0]!r}, expected 'rows cols'")
         declared = (int(parts[0]), int(parts[1]))
         if declared[0] < 1 or declared[1] < 1:

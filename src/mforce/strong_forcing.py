@@ -23,9 +23,10 @@ since the rows of a real copy at or above row i are such a prefix; after the
 last row that is strong forcing itself. Its coverage is carried down per
 prefix length, and the test is made once per parent, not per child: a copy
 that uses the child's row ends in it, so the parent lists, for each entry
-whose copies grew too short and for each column of the new row, the
-(columns, wanted bits) pairs a row must show to complete one, and a child
-passes when each of those keys has a pair its row meets. A witness search
+whose copies grew too short and for each column of the new row, the partial
+copies ending in that row, each as its rows and the column masks its other
+rows leave, and a child passes when its row completes one copy of each list
+under the matcher's greedy column pass. A witness search
 skips, on one bit, every row that disagrees with the pattern at the
 anchor's column before it tries the row's columns. When the pattern equals
 its transpose, so does the transpose of a strongly forcing matrix, and one
@@ -79,7 +80,7 @@ class WitnessEmbedding:
 
 
 def _witness_through(abits, m: int, n: int, qbits, t: int, q_ones, p_min: int,
-                     r: int, c: int, tails: dict | None = None):
+                     r: int, c: int, tails: list | None = None):
     """Exact copy of a pattern prefix through 1-entry (r, c), or None.
 
     Tries every pattern 1-coordinate (y, x) as the anchor for (r, c) in
@@ -97,17 +98,14 @@ def _witness_through(abits, m: int, n: int, qbits, t: int, q_ones, p_min: int,
     once: the smallest column of each mask above the previous one, which is
     the least increasing column selection and exists whenever any does.
 
-    With tails, a dict, the walk collects instead of returning: it looks for
-    every copy whose last row is row m, one past the given rows, whose bits
-    are still open. Its other rows come from rows 0..m-1 as above; the
-    anchor either lies among them (r < m, y below the copy's last row) or
-    is row m itself (r == m, y the copy's last row, which pins column x to c
-    and nothing else). Each increasing column selection the carried masks
-    allow completes such a copy: row m must show the last pattern row on
-    those columns. tails[columns, wanted] = (s, cells) records it, with
-    columns the selected columns, wanted those of them where row m needs a
-    1, and cells the copy's 1-entries, entry (row, col) at bit row * n + col.
-    The first copy found for a key is kept, and the walk returns None.
+    With tails, a list, the walk collects instead of returning: it appends
+    (rows_sel, masks) for every partial copy whose last row is row m, one
+    past the given rows, whose bits are still open: the copy's rows, ending
+    in m, and the column masks its other rows leave, which come from rows
+    0..m-1 as above. The anchor either lies among them (r < m, y below the
+    copy's last row) or is row m itself (r == m, y the copy's last row,
+    which pins column x to c and nothing else). A row m completes the copy
+    when the greedy pass over the copy's last pattern row accepts it.
     """
     full = (1 << n) - 1
     tail = tails is not None
@@ -138,42 +136,15 @@ def _witness_through(abits, m: int, n: int, qbits, t: int, q_ones, p_min: int,
 
             def assign(i: int, prev: int, masks: list[int]):
                 if i == last:
-                    if not tail:
-                        picks, col = [], -1
-                        for mask in masks:
-                            avail = mask >> (col + 1)
-                            col += (avail & -avail).bit_length()
-                            picks.append(col)
-                        return picks
-                    # The latest pick each column can take and still leave
-                    # room for the columns after it; then every selection,
-                    # as (last column, columns, wanted, cells), where
-                    # column j at col adds spread[j] << col to the cells.
-                    qlast = qbits[s - 1]
-                    spread = [0] * t
-                    for yy, xx in q_ones:
-                        if yy < s:
-                            spread[xx] |= 1 << rows_sel[yy] * n
-                    tops, top = [0] * t, n
-                    for j in range(t - 1, -1, -1):
-                        top = tops[j] = (masks[j] & ((1 << top) - 1)).bit_length() - 1
-                    sels = [(-1, 0, 0, 0)]
-                    for j in range(t):
-                        window = masks[j] & ((2 << tops[j]) - 1)
-                        want_j, spread_j = (qlast >> j) & 1, spread[j]
-                        nxt = []
-                        for low_col, columns, wanted, cells in sels:
-                            avail = window >> (low_col + 1) << (low_col + 1)
-                            while avail:
-                                bit = avail & -avail
-                                avail ^= bit
-                                at = bit.bit_length() - 1
-                                nxt.append((at, columns | bit, wanted | bit if want_j else wanted,
-                                            cells | spread_j << at))
-                        sels = nxt
-                    for _, columns, wanted, cells in sels:
-                        tails.setdefault((columns, wanted), (s, cells))
-                    return None
+                    if tail:
+                        tails.append((tuple(rows_sel), masks))
+                        return None
+                    picks, col = [], -1
+                    for mask in masks:
+                        avail = mask >> (col + 1)
+                        col += (avail & -avail).bit_length()
+                        picks.append(col)
+                    return picks
                 if i == y:
                     return assign(i + 1, r, masks)
                 hi = r - (y - i) if i < y else mm - (s - i)
@@ -301,18 +272,19 @@ class _Completions:
     known to lie in a copy of the pattern's first p or more rows; no added
     row can undo that. A child row passes when each 1 of rows 0..i lies in
     a copy of the first max(p_min, y + 1) rows inside rows 0..i, for some
-    anchor (y, x) standing for it. Every copy that uses row i ends there,
-    and row i completes it exactly when row & columns == wanted for one
-    (columns, wanted) pair, so the test of a child only looks pairs up.
-    Each key's pairs are made once, the first time a child needs them, by
-    _witness_through's tails walk:
+    anchor (y, x) standing for it. Every copy that uses row i ends there, so
+    the test lists partial copies ending in row i, each as its rows and the
+    column masks its other rows leave. The first copy of a list that the
+    child's row completes under the matcher's greedy pass, at its least
+    columns, is the hit. Each list is made once, the first time a child
+    needs it, by _witness_through's tails walk:
     - a stale entry, a 1 of rows 0..i-1 outside cov[p_min], in row-major
       order: one witness search inside rows 0..i-1 first; a copy there
       covers the entry, and the entries of the copy, for every child. Else
-      its pairs are the p_min-row copies ending in row i. An entry without
-      pairs fails every child, but under a node that passed its own test
-      it has some: p_min grows by at most one a row, and row i can extend
-      any shorter copy by one row;
+      its list holds the p_min-row copies ending in row i. An entry with an
+      empty list fails every child, but under a node that passed its own
+      test it has copies: p_min grows by at most one a row, and row i can
+      extend any shorter copy by one row;
     - a column c of row i: the copies ending in row i through (i, c),
       anchored at any pattern row y >= p_min - 1, longest first.
     """
@@ -329,15 +301,24 @@ class _Completions:
         self.stale: list[list] = []
         self.by_column: dict[int, list] = {}
 
-    def _pairs(self, anchors, r: int, c: int) -> list[tuple[int, int, int, int]]:
-        tails: dict = {}
+    def _tails(self, anchors, r: int, c: int) -> list[tuple[tuple[int, ...], list[int]]]:
+        tails: list = []
         _witness_through(self.rows, self.i, self.n, self.qbits, self.t, anchors,
                          self.p_min, r, c, tails)
-        return [(columns, wanted, s, cells) for (columns, wanted), (s, cells) in tails.items()]
+        return tails
+
+    def _mark(self, levels: list[int], rows_sel, cols_sel) -> None:
+        # The copy's 1-entries join every level from p_min to its length.
+        n, cells = self.n, 0
+        for y, x in self.q_ones:
+            if y < len(rows_sel):
+                cells |= 1 << (rows_sel[y] * n + cols_sel[x])
+        for p in range(self.p_min, len(rows_sel) + 1):
+            levels[p] |= cells
 
     def _next_stale(self) -> bool:
-        # Settles stale entries in order until one needs pairs, which join
-        # self.stale; False when none is left.
+        # Settles stale entries in order until one needs partial copies, whose
+        # list joins self.stale; False when none is left.
         levels, n, p_min = self.levels, self.n, self.p_min
         while self.todo:
             low = self.todo & -self.todo
@@ -348,45 +329,47 @@ class _Completions:
             got = _witness_through(self.rows, self.i, n, self.qbits, self.t, self.q_ones,
                                    p_min, r, c)
             if got is None:
-                self.stale.append(self._pairs(self.q_ones, r, c))
+                self.stale.append(self._tails(self.q_ones, r, c))
                 return True
-            rows_sel, cols_sel = got
-            cells = 0
-            for y, x in self.q_ones:
-                if y < len(rows_sel):
-                    cells |= 1 << (rows_sel[y] * n + cols_sel[x])
-            for p in range(p_min, len(rows_sel) + 1):
-                levels[p] |= cells
+            self._mark(levels, *got)
         return False
 
     def child_cov(self, row: int) -> tuple[int, ...] | None:
-        """The child's coverage, the parent's plus one hit per key, or None."""
-        stale, by_column = self.stale, self.by_column
+        """The child's coverage, the parent's plus one hit per list, or None."""
+        stale, by_column, qbits = self.stale, self.by_column, self.qbits
         # The stale entries, then each 1 of row i that no hit covers yet: a
-        # hit's wanted bits are the 1s of row i its copy covers.
-        hits, rest, k = [], row, 0
+        # hit covers the 1s of row i at its picks.
+        hits, rest, k, nrow = [], row, 0, ~row
         while True:
             if k < len(stale) or self._next_stale():
-                pairs = stale[k]
+                tails = stale[k]
                 k += 1
             elif rest:
                 c = (rest & -rest).bit_length() - 1
-                pairs = by_column.get(c)
-                if pairs is None:
-                    pairs = by_column[c] = self._pairs(self.q_ones[::-1], self.i, c)
+                tails = by_column.get(c)
+                if tails is None:
+                    tails = by_column[c] = self._tails(self.q_ones[::-1], self.i, c)
             else:
                 break
-            for columns, wanted, s, cells in pairs:
-                if row & columns == wanted:
-                    hits.append((s, cells))
-                    rest &= ~wanted
+            for rows_sel, masks in tails:
+                # want walks the last pattern row's bits, column by column.
+                want, picks, col = qbits[len(rows_sel) - 1], [], -1
+                for mask in masks:
+                    avail = (mask & (row if want & 1 else nrow)) >> (col + 1)
+                    if avail == 0:
+                        break
+                    col += (avail & -avail).bit_length()
+                    picks.append(col)
+                    want >>= 1
+                else:
+                    hits.append((rows_sel, picks))
+                    rest &= ~sum(1 << col for col in picks)
                     break
             else:
                 return None
         levels = self.levels[:]
-        for s, cells in hits:
-            for p in range(self.p_min, s + 1):
-                levels[p] |= cells
+        for rows_sel, picks in hits:
+            self._mark(levels, rows_sel, picks)
         return tuple(levels)
 
 

@@ -21,12 +21,10 @@ from conftest import all_nonzero_patterns, load, load_matrix, nonzero_patterns
 from mforce import (
     BitMatrix,
     SearchConfig,
-    all_permutation_matrices,
     apply_symmetry,
     dihedral_class,
     direct_sum,
     extremal_2x2,
-    hankel,
     identity,
     is_strongly_forcing,
     linear_zero_construction,
@@ -35,10 +33,6 @@ from mforce import (
     minimal_forcing,
     named,
     oracle_max_strong,
-    perm_max_extremal,
-    perm_max_m,
-    perm_min_bound,
-    perm_min_equality,
     search_max,
     serialize,
     split_witness,
@@ -98,38 +92,6 @@ class TestNonMonotoneContainmentChain:
                 assert b == (m - 1) * (n - 1)
                 assert a > b
                 assert c > b
-
-
-class TestPermutationMinimumBound:
-    """n^2 - k(k-1) bounds every permutation; only the diagonals attain it."""
-
-    def test_exhaustive_for_k_2_3_4(self):
-        for k in (2, 3, 4):
-            n = 2 * k
-            bound = perm_min_bound(n, k)
-            attained = set()
-            for p in all_permutation_matrices(k):
-                value = min_ones(n, n, p).value
-                assert value >= bound
-                assert (value == bound) == perm_min_equality(p)
-                if value == bound:
-                    attained.add(p)
-            assert attained == {identity(k), hankel(k)}
-
-
-class TestPermutationMinimumMaximum:
-    """The largest forcing minimum over k x k permutations, with extremals."""
-
-    def test_piecewise_values_and_quadruple_characterisation(self):
-        for k in range(1, 6):
-            n = 2 * k + 2
-            values = {
-                p: min_ones(n, n, p).value for p in all_permutation_matrices(k)
-            }
-            assert max(values.values()) == perm_max_m(n, k)
-            if k >= 4:
-                for p, value in values.items():
-                    assert (value == perm_max_m(n, k)) == perm_max_extremal(p)
 
 
 class TestRisingPairMaximum:

@@ -212,6 +212,14 @@ class TestTextFormat:
         with pytest.raises(MatrixFormatError):
             parse("")
 
+    @pytest.mark.parametrize("header", ["² 2", "2 ²", "２ ２", "٢ 2", "2 +2"],
+                             ids=["superscript", "superscript-cols", "fullwidth", "arabic-indic", "sign"])
+    def test_header_fields_take_ascii_digits_only(self, header):
+        # A superscript digit passes str.isdigit but not int(); a fullwidth or
+        # Arabic-Indic one passes both. Each is a malformed header.
+        with pytest.raises(MatrixFormatError, match="malformed header line"):
+            parse(f"{header}\n11\n11\n")
+
     def test_str_is_headerless_body(self):
         assert str(identity(2)) == "10\n01"
 

@@ -205,6 +205,14 @@ class TestCheck:
         assert "--ambient" in err and "--pattern" in err
         assert stdin.read() == load("s5.txt")  # refused before reading
 
+    @pytest.mark.parametrize("header", ["² 2", "２ ２"], ids=["superscript", "fullwidth"])
+    def test_header_with_non_ascii_digits_exits_2(self, capsys, monkeypatch, header):
+        monkeypatch.setattr("sys.stdin", io.StringIO(f"{header}\n11\n11\n"))
+        code, out, err = run_cli(capsys, "check", "strong",
+                                 "--ambient", "-", "--pattern", "i1")
+        assert (code, out) == (2, "")
+        assert "malformed header line" in err
+
 
 class TestConstruct:
     def test_s_n_matches_fixture(self, capsys, tmp_path):

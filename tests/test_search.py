@@ -182,6 +182,12 @@ class TestSearchTree:
         pytest.param(5, named("b3"),
                      SearchConfig(use_dihedral_reduction=True, enumerate_all_extremal=True),
                      "exact", 3_405, id="5-b3-reduced-all"),
+        # The widest patterns searched here: the child test runs the greedy
+        # column pass over t = 6 and t = 7 pattern columns.
+        pytest.param(7, named("i6"), SearchConfig(enumerate_all_extremal=True),
+                     "exact", 3_740, id="7-i6-all"),
+        pytest.param(8, named("i7"), SearchConfig(enumerate_all_extremal=True),
+                     "exact", 7_883, id="8-i7-all"),
     ])
     def test_nodes_explored(self, n, pattern, config, status, nodes):
         out = search_max(n, pattern, config)
