@@ -211,9 +211,11 @@ def parse(text: str) -> BitMatrix:
         raise MatrixFormatError("empty matrix text")
 
     declared: tuple[int, int] | None = None
-    if " " in lines[0]:
-        parts = lines[0].split()
-        # ASCII digits only: str.isdigit also takes '²' and '２'.
+    if any(map(str.isspace, lines[0])):
+        # A first line with any whitespace is a header: ASCII digits split by
+        # ASCII spaces. str.isdigit also takes '²' and '２', and str.split
+        # also splits at tabs and no-break spaces.
+        parts = [p for p in lines[0].split(" ") if p]
         if len(parts) != 2 or not all(p.isascii() and p.isdigit() for p in parts):
             raise MatrixFormatError(f"malformed header line {lines[0]!r}, expected 'rows cols'")
         declared = (int(parts[0]), int(parts[1]))

@@ -1,12 +1,11 @@
 """Strongly pattern-forcing matrices: checks, constructions, and exact search.
 
 A matrix A is strongly Q-forcing when every 1-entry of A lies inside some
-submatrix of A that equals Q exactly. is_strongly_forcing searches a copy
-only through a 1 that no copy found so far covers, and a copy it finds
-covers its runs too: the rows equal to a copy row, reached from it through
-equal rows without passing the copy's rows on either side, can each stand
-in for it, and likewise the columns; a row and a column swapped in
-together still give the pattern, so every 1 they reach is covered.
+submatrix of A that equals Q exactly. is_strongly_forcing first keeps at
+most s rows of each run of equal rows and t columns of each run of equal
+columns, for an s x t pattern: a copy uses no more of a run than that, and
+the lines of a run are interchangeable in it, so the verdict is unchanged.
+It then searches a copy only through a 1 that no copy found so far covers.
 
 Where plain forcing asks for minimum ones, the natural extremal question
 here is the maximum: search_max computes max ones over strongly forcing
@@ -196,22 +195,34 @@ def find_witness(mat: BitMatrix, pattern: BitMatrix, pos: Position | tuple[int, 
     return WitnessEmbedding(*got)
 
 
+def _collapse(mat: BitMatrix, s: int, t: int) -> BitMatrix:
+    """mat without each row that equals all s rows above it, then without
+    each column that equals all t columns to its left.
+
+    A copy of an s x t pattern uses at most s rows of a run of equal rows,
+    and any rows of the run can serve, so a 1 lies in a copy exactly when
+    the same 1 in the first line of its run does, and likewise for columns.
+    The collapsed matrix is therefore strongly forcing exactly when mat is.
+    """
+    for k in (s, t):
+        lines = mat.bits
+        kept = tuple(line for i, line in enumerate(lines)
+                     if i < k or lines[i - k:i].count(line) < k)
+        mat = BitMatrix(len(kept), mat.cols, kept).transpose()
+    return mat
+
+
 def is_strongly_forcing(mat: BitMatrix, pattern: BitMatrix) -> bool:
     """True when every 1-entry of mat lies in a submatrix equal to the pattern.
 
-    An all-zero matrix passes vacuously, whatever the pattern. One witness
-    search per entry that no copy found so far covers. A copy found covers
-    its runs as well: a row equal to copy row y, reached from it through
-    equal rows without passing copy row y - 1 or y + 1, can stand in for it,
-    and likewise a column equal to copy column x for that column. Rows and
-    columns are swapped whole, so the copy through a swapped-in row and a
-    swapped-in column is the same pattern, and each 1 that such a pair of
-    swaps reaches is covered.
+    An all-zero matrix passes vacuously, whatever the pattern. The check
+    runs on mat with its runs of equal lines collapsed (_collapse), making
+    one witness search per 1 that no copy found so far covers.
     """
     check_fit(mat.rows, mat.cols, pattern)
+    mat = _collapse(mat, pattern.rows, pattern.cols)
     abits, m, n = mat.bits, mat.rows, mat.cols
     q_ones = _pattern_ones(pattern)
-    cbits = None
     seen = [0] * m
     for r in range(m):
         row = abits[r] & ~seen[r]
@@ -225,43 +236,13 @@ def is_strongly_forcing(mat: BitMatrix, pattern: BitMatrix) -> bool:
             if got is None:
                 return False
             rows_sel, cols_sel = got
-            if cbits is None:
-                cbits = mat.transpose().bits
-                # With no two equal adjacent rows (columns), each run is the
-                # copy's own row (column).
-                row_runs = any(map(int.__eq__, abits, abits[1:]))
-                col_runs = any(map(int.__eq__, cbits, cbits[1:]))
-            # Each cell of the row runs by the column runs holds the pattern's
-            # entry there; its 0s mark 0s of mat, which are never read.
+            # The copy's 0s mark 0s of mat, which are never read.
             cover = 0
-            if col_runs:
-                cover = _runs(cbits, cols_sel)
-            else:
-                for cc in cols_sel:
-                    cover |= 1 << cc
-            if row_runs:
-                spans = _runs(abits, rows_sel)
-                rows_sel = [rr for rr in range(spans.bit_length()) if spans >> rr & 1]
+            for cc in cols_sel:
+                cover |= 1 << cc
             for rr in rows_sel:
                 seen[rr] |= cover
     return True
-
-
-def _runs(lines, sel: tuple[int, ...]) -> int:
-    """Bit i set for each line i equal to some lines[sel[k]] and reached from
-    it through equal lines without stepping onto sel[k - 1] or sel[k + 1]."""
-    spans, floor = 0, -1
-    for k, at in enumerate(sel):
-        line = lines[at]
-        ceil = sel[k + 1] if k + 1 < len(sel) else len(lines)
-        lo, hi = at, at + 1
-        while lo - 1 > floor and lines[lo - 1] == line:
-            lo -= 1
-        while hi < ceil and lines[hi] == line:
-            hi += 1
-        spans |= (1 << hi) - (1 << lo)
-        floor = at
-    return spans
 
 
 class _Completions:

@@ -5,8 +5,8 @@ package checks against the paper. Its rows, less the millis timing column,
 are pinned in tests/data/verify_all_default.csv, and that file is the
 acceptance record: the replay below compares it byte for byte, `open` rows
 included, and CI diffs it against a subprocess run. The other tests here
-check headline claims against independent recomputation (exhaustive sweeps,
-the exact search, seeded samples), and what no row of that report covers.
+check headline claims against independent recomputation (the exact search,
+seeded samples, properties), and what no row of that report covers.
 Everything is exact; there are no tolerances.
 """
 
@@ -24,15 +24,12 @@ from mforce import (
     apply_symmetry,
     dihedral_class,
     direct_sum,
-    extremal_2x2,
     identity,
     is_strongly_forcing,
     linear_zero_construction,
     make,
     min_ones,
     minimal_forcing,
-    named,
-    oracle_max_strong,
     search_max,
     serialize,
     split_witness,
@@ -92,44 +89,6 @@ class TestNonMonotoneContainmentChain:
                 assert b == (m - 1) * (n - 1)
                 assert a > b
                 assert c > b
-
-
-class TestRisingPairMaximum:
-    """Maximum strongly forcing matrices for the 2x2 identity pattern."""
-
-    def test_sweep_uniqueness_orders_2_to_4(self):
-        for n in (2, 3, 4):
-            best, level = oracle_max_strong(n, identity(2))
-            assert best == n * n - n
-            assert level == [extremal_2x2(n, "i2")]
-
-    def test_search_reproduces_through_order_6(self):
-        for n in range(2, 7):
-            out = search_max(
-                n, identity(2), SearchConfig(enumerate_all_extremal=True)
-            )
-            assert out.status == "exact"
-            assert out.best_ones == n * n - n
-            assert out.witnesses == (extremal_2x2(n, "i2"),)
-
-
-class Test3x3PermutationMaxima:
-    """All six 3x3 permutation patterns share the same exact maxima."""
-
-    WORDS = ("i3", "b3", "c3", "d3", "e3", "h3")
-
-    def test_search_orders_4_and_5(self):
-        for name in self.WORDS:
-            q = named(name)
-            four = search_max(4, q)
-            five = search_max(5, q)
-            assert (four.status, four.best_ones) == ("exact", 7)
-            assert (five.status, five.best_ones) == ("exact", 13)
-
-    def test_order_4_sweep_confirms(self):
-        for name in self.WORDS:
-            best, _ = oracle_max_strong(4, named(name))
-            assert best == 7
 
 
 class TestDihedralTransfer:

@@ -192,6 +192,7 @@ class TestTextFormat:
 
     def test_header_optional_on_parse(self):
         assert parse("10\n01\n") == parse("2 2\n10\n01\n") == identity(2)
+        assert parse("2  2\n10\n01\n") == parse(" 2 2 \n10\n01\n") == identity(2)
 
     def test_serialize_always_emits_header(self):
         assert serialize(identity(2)) == "2 2\n10\n01\n"
@@ -212,11 +213,15 @@ class TestTextFormat:
         with pytest.raises(MatrixFormatError):
             parse("")
 
-    @pytest.mark.parametrize("header", ["² 2", "2 ²", "２ ２", "٢ 2", "2 +2"],
-                             ids=["superscript", "superscript-cols", "fullwidth", "arabic-indic", "sign"])
+    @pytest.mark.parametrize("header", ["² 2", "2 ²", "２ ２", "٢ 2", "2 +2",
+                                        "2 \u00a02", "2\t2", "2\u20032", "2 2\r"],
+                             ids=["superscript", "superscript-cols", "fullwidth", "arabic-indic", "sign",
+                                  "no-break-space", "tab", "em-space", "carriage-return"])
     def test_header_fields_take_ascii_digits_only(self, header):
         # A superscript digit passes str.isdigit but not int(); a fullwidth or
-        # Arabic-Indic one passes both. Each is a malformed header.
+        # Arabic-Indic one passes both. A first line holding any whitespace is
+        # a header, and only ASCII spaces separate its fields. Each is a
+        # malformed header.
         with pytest.raises(MatrixFormatError, match="malformed header line"):
             parse(f"{header}\n11\n11\n")
 

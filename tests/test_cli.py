@@ -205,7 +205,8 @@ class TestCheck:
         assert "--ambient" in err and "--pattern" in err
         assert stdin.read() == load("s5.txt")  # refused before reading
 
-    @pytest.mark.parametrize("header", ["² 2", "２ ２"], ids=["superscript", "fullwidth"])
+    @pytest.mark.parametrize("header", ["² 2", "２ ２", "2 \u00a02", "2\t2", "2\u20032"],
+                             ids=["superscript", "fullwidth", "no-break-space", "tab", "em-space"])
     def test_header_with_non_ascii_digits_exits_2(self, capsys, monkeypatch, header):
         monkeypatch.setattr("sys.stdin", io.StringIO(f"{header}\n11\n11\n"))
         code, out, err = run_cli(capsys, "check", "strong",

@@ -151,6 +151,13 @@ class TestIsStronglyForcing:
         assert is_strongly_forcing(load_matrix("t5.txt"), named("b3"))
         assert is_strongly_forcing(extremal_2x2(4, "i2"), identity(2))
         assert is_strongly_forcing(extremal_2x2(4, "h2"), hankel(2))
+        # Two all-ones blocks on the diagonal: a 1 of one block and a 1 of the
+        # other make an I_2, and each 1 lies in a 2 x 2 block of 1s, but an
+        # anti-diagonal pair of 1s always shares a block with a third 1.
+        blocks = direct_sum(make(32, 32, 1), make(32, 32, 1))
+        assert is_strongly_forcing(blocks, identity(2))
+        assert is_strongly_forcing(blocks, named("j2"))
+        assert not is_strongly_forcing(blocks, hankel(2))
 
     def test_t5_does_not_force_213(self):
         # The one-followed-by-offdiagonal matrix reads as 132 copies; its
@@ -294,9 +301,9 @@ def repeated(rng, base, m, n):
 
 
 class TestRunCover:
-    # is_strongly_forcing lets one copy cover every 1 that swapping in an
-    # equal row or column beside a copy row or column reaches; these
-    # matrices are made of such runs.
+    # is_strongly_forcing keeps at most s rows of each run of equal rows and
+    # t columns of each run of equal columns; these matrices are made of
+    # such runs.
     def test_linear_zero_constructions_and_flips_match_the_oracle(self):
         rng = random.Random(20)
         verdicts = {True: 0, False: 0}
@@ -315,21 +322,25 @@ class TestRunCover:
                         verdicts[want] += 1
         assert verdicts[False] > 1000, verdicts
 
-    @pytest.mark.parametrize("text", ["101\n010", "110\n011\n001", "1010\n0101",
-                                      "1111\n1101\n1001\n1111", "100\n001\n010"])
-    def test_one_copy_covers_a_linear_zero_construction(self, text, monkeypatch):
-        # Its repeated row and column are runs of the first copy found.
-        calls = []
+    @pytest.mark.parametrize("text, calls", [("101\n010", 6), ("110\n011\n001", 9),
+                                             ("1010\n0101", 8), ("1111\n1101\n1001\n1111", 16),
+                                             ("100\n001\n010", 9)])
+    def test_matcher_calls_do_not_grow_with_n(self, text, calls, monkeypatch):
+        # The repeated row and column of a linear-zero construction collapse
+        # to the same matrix at every n, so the witness searches are the same.
+        counted = []
         witness_through = strong_forcing._witness_through
 
-        def counted(*args):
-            calls.append(args)
+        def counting(*args):
+            counted.append(args)
             return witness_through(*args)
 
-        monkeypatch.setattr(strong_forcing, "_witness_through", counted)
+        monkeypatch.setattr(strong_forcing, "_witness_through", counting)
         pattern = parse(text)
-        assert is_strongly_forcing(linear_zero_construction(64, 64, pattern), pattern)
-        assert len(calls) == 1
+        for n in (16, 64):
+            counted.clear()
+            assert is_strongly_forcing(linear_zero_construction(n, n, pattern), pattern)
+            assert len(counted) == calls, n
 
     def test_random_repeated_rows_and_columns_match_the_oracle(self):
         rng = random.Random(21)
