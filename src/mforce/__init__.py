@@ -24,10 +24,8 @@ from .forcing import (
     CoreDecomposition,
     CornerReport,
     MinOnesResult,
-    alt_dominates,
     core,
     corner_functions,
-    dominates,
     is_forcing,
     min_ones,
     min_ones_boundary,
@@ -58,7 +56,7 @@ from .strong_forcing import (
     SearchOutcome,
     WitnessEmbedding,
     apply_symmetry,
-    canonical_form,
+    canonical_with_ops,
     conjectured_max_identity,
     dihedral_class,
     extremal_132_witness,
@@ -86,15 +84,13 @@ __all__ = [
     "SearchOutcome",
     "WitnessEmbedding",
     "all_permutation_matrices",
-    "alt_dominates",
     "apply_symmetry",
-    "canonical_form",
+    "canonical_with_ops",
     "conjectured_max_identity",
     "core",
     "corner_functions",
     "dihedral_class",
     "direct_sum",
-    "dominates",
     "entrywise_leq",
     "extremal_132_witness",
     "extremal_2x2",

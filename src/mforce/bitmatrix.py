@@ -1,9 +1,9 @@
 """Dense (0,1)-matrices with bit-packed rows.
 
 Each row is stored as one arbitrary-precision Python int whose bit j holds
-column j, so popcounts, row masking and window extraction are single int
-operations. Bits at or above ``cols`` are always zero; the constructor
-enforces this so ``int.bit_count`` totals are exact.
+column j, so popcounts and row masking are single int operations. Bits at
+or above ``cols`` are always zero; the constructor enforces this so
+``int.bit_count`` totals are exact.
 
 Text conversions run in builtins rather than per bit: a row's text is its
 ``format(row, "b")`` digits, zero-padded to ``cols`` and reversed so column 0
@@ -109,20 +109,6 @@ class BitMatrix:
             out.append(packed)
         return BitMatrix(len(row_sel), len(col_sel), tuple(out))
 
-    def window(self, r0: int, c0: int, height: int, width: int) -> "BitMatrix":
-        """Contiguous height x width block with upper-left corner (r0, c0)."""
-        if height < 1 or width < 1:
-            raise ValueError("window dimensions must be positive")
-        if not (0 <= r0 <= self.rows - height and 0 <= c0 <= self.cols - width):
-            raise ValueError(
-                f"window {height}x{width} at ({r0 + 1}, {c0 + 1}) exceeds "
-                f"the {self.rows}x{self.cols} matrix"
-            )
-        mask = (1 << width) - 1
-        return BitMatrix(
-            height, width, tuple((self.bits[r0 + y] >> c0) & mask for y in range(height))
-        )
-
     def __str__(self) -> str:
         return "\n".join(_row_text(row, self.cols) for row in self.bits)
 
@@ -226,6 +212,8 @@ def parse(text: str) -> BitMatrix:
             raise MatrixFormatError("header present but no matrix rows follow")
 
     width = len(lines[0])
+    if width == 0:
+        raise MatrixFormatError("row 1 is empty")
     packed = []
     for k, line in enumerate(lines):
         if len(line) != width:

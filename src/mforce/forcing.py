@@ -16,19 +16,10 @@ from .bitmatrix import BitMatrix, Position, check_fit, check_pattern, entrywise_
 from .patterns import hankel, identity, is_permutation_matrix
 
 
-def dominates(p1: Position | tuple[int, int], p2: Position | tuple[int, int]) -> bool:
-    """True when p1 lies weakly below and weakly right of p2. Reflexive."""
-    return p1[0] >= p2[0] and p1[1] >= p2[1]
-
-
-def alt_dominates(p1: Position | tuple[int, int], p2: Position | tuple[int, int]) -> bool:
-    """True when p1 lies weakly above and weakly right of p2. Reflexive."""
-    return p1[0] <= p2[0] and p1[1] >= p2[1]
-
-
 # -- corner profiles ---------------------------------------------------------
 #
-# Four sets of 0-entries, one per corner:
+# (i, j) dominates (y, x) when i >= y and j >= x, and alt-dominates it when
+# i <= y and j >= x. Four sets of 0-entries, one per corner:
 #   nw: dominate no 1-entry          sw: alt-dominate no 1-entry
 #   ne: alt-dominated by no 1-entry  se: dominated by no 1-entry
 # Oriented toward its corner, each set is a staircase (Young-diagram) region;

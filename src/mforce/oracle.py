@@ -32,7 +32,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations
 from math import comb
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .bitmatrix import BitMatrix, check_fit, check_pattern, serialize
 
@@ -89,14 +89,16 @@ def oracle_minimal_forcing(m: int, n: int, pattern: BitMatrix) -> BitMatrix:
     return BitMatrix(m, n, tuple(grid))
 
 
-def _placements(m: int, n: int, pattern: BitMatrix) -> Iterator[tuple[int, int]]:
-    """Yield (window, copy) masks of every placement of pattern in an m x n matrix.
+@lru_cache(maxsize=16)
+def _placements(m: int, n: int, pattern: BitMatrix) -> tuple[tuple[int, int], ...]:
+    """(window, copy) masks of every placement of pattern in an m x n matrix.
 
     The masks index the row-major flattening (entry (r, c) at bit r * n + c).
-    Placements are produced lazily, after the cap has bounded their number.
+    The cap is checked before the walk; the last 16 (m, n, pattern) walks are cached.
     """
     check_fit(m, n, pattern)
     _check_cap(m, n, pattern)
+    out = []
     for col_sel in combinations(range(n), pattern.cols):
         cols = sum(1 << j for j in col_sel)
         # Each pattern row with its columns moved onto col_sel.
@@ -106,7 +108,8 @@ def _placements(m: int, n: int, pattern: BitMatrix) -> Iterator[tuple[int, int]]
             for r, part in zip(row_sel, spread):
                 window |= cols << (r * n)
                 copy |= part << (r * n)
-            yield window, copy
+            out.append((window, copy))
+    return tuple(out)
 
 
 def _covered_by_copies(flat: int, placements: Iterable[tuple[int, int]]) -> bool:
@@ -145,7 +148,7 @@ def oracle_max_strong(n: int, pattern: BitMatrix) -> tuple[int, list[BitMatrix]]
     """
     if n > 4:
         raise ValueError(f"full sweep of order {n} is out of range (n <= 4)")
-    placements = list(_placements(n, n, pattern))
+    placements = _placements(n, n, pattern)
     cells = n * n
     var: list[int] = []
     weight = [1]

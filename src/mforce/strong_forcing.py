@@ -533,11 +533,6 @@ def dihedral_class(pattern: BitMatrix) -> frozenset[BitMatrix]:
     return frozenset(apply_symmetry(pattern, seq) for seq in symmetry_ops(pattern))
 
 
-def canonical_form(pattern: BitMatrix) -> BitMatrix:
-    """The orbit member with the lexicographically least text form."""
-    return canonical_with_ops(pattern)[0]
-
-
 def canonical_with_ops(pattern: BitMatrix) -> tuple[BitMatrix, tuple[str, ...]]:
     """The orbit member with the least text form, and the first sequence reaching it."""
     return min(

@@ -5,7 +5,6 @@ import re
 
 import pytest
 from hypothesis import given
-from hypothesis import strategies as st
 
 from mforce import (
     BitMatrix,
@@ -128,26 +127,11 @@ class TestSelections:
         rows = tuple(range(mat.rows))
         cols = tuple(range(mat.cols))
         assert mat.submatrix(rows, cols) == mat
-        assert mat.window(0, 0, mat.rows, mat.cols) == mat
 
     def test_submatrix_examples(self):
         assert identity(3).submatrix((0, 2), (0, 2)) == identity(2)
         j_minus_h = parse("1110\n1101\n1011\n0111\n")
         assert j_minus_h.submatrix((0, 1), (0, 1)) == make(2, 2, 1)
-
-    def test_window_examples(self):
-        assert identity(4).window(1, 1, 2, 2) == identity(2)
-        assert hankel(4).window(0, 2, 2, 2) == hankel(2)
-
-    @given(bitmatrices(), st.data())
-    def test_contiguous_submatrix_equals_window(self, mat, data):
-        r0 = data.draw(st.integers(0, mat.rows - 1))
-        c0 = data.draw(st.integers(0, mat.cols - 1))
-        s = data.draw(st.integers(1, mat.rows - r0))
-        t = data.draw(st.integers(1, mat.cols - c0))
-        rows = tuple(range(r0, r0 + s))
-        cols = tuple(range(c0, c0 + t))
-        assert mat.submatrix(rows, cols) == mat.window(r0, c0, s, t)
 
     def test_selection_errors(self):
         mat = identity(3)
@@ -159,8 +143,6 @@ class TestSelections:
             mat.submatrix((0, 3), (0,))
         with pytest.raises(ValueError):
             mat.submatrix((), (0,))
-        with pytest.raises(ValueError):
-            mat.window(2, 0, 2, 1)
 
 
 class TestCombinators:
@@ -175,8 +157,8 @@ class TestCombinators:
         total = direct_sum(a, b)
         assert (total.rows, total.cols) == (a.rows + b.rows, a.cols + b.cols)
         assert total.ones_count() == a.ones_count() + b.ones_count()
-        assert total.window(0, 0, a.rows, a.cols) == a
-        assert total.window(a.rows, a.cols, b.rows, b.cols) == b
+        assert total.submatrix(range(a.rows), range(a.cols)) == a
+        assert total.submatrix(range(a.rows, total.rows), range(a.cols, total.cols)) == b
 
     def test_direct_sum_builds_the_13_ones_example(self):
         j_minus_h = parse("1110\n1101\n1011\n0111\n")
@@ -212,6 +194,12 @@ class TestTextFormat:
     def test_empty_text_rejected(self):
         with pytest.raises(MatrixFormatError):
             parse("")
+
+    def test_empty_first_row_rejected(self):
+        # int("", 2) would raise a bare ValueError on the zero-width row.
+        for text in ("\n11\n", "2 2\n\n11\n"):
+            with pytest.raises(MatrixFormatError, match="row 1 is empty"):
+                parse(text)
 
     @pytest.mark.parametrize("header", ["² 2", "2 ²", "２ ２", "٢ 2", "2 +2",
                                         "2 \u00a02", "2\t2", "2\u20032", "2 2\r"],

@@ -214,6 +214,13 @@ class TestCheck:
         assert (code, out) == (2, "")
         assert "malformed header line" in err
 
+    def test_empty_first_row_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO("\n11\n"))
+        code, out, err = run_cli(capsys, "check", "strong",
+                                 "--ambient", "-", "--pattern", "i2")
+        assert (code, out) == (2, "")
+        assert "row 1 is empty" in err and "invalid literal" not in err
+
 
 class TestConstruct:
     def test_s_n_matches_fixture(self, capsys, tmp_path):

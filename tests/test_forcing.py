@@ -7,11 +7,9 @@ from hypothesis import strategies as st
 from conftest import brute_corner_sets, brute_is_forcing, load_matrix, nonzero_patterns
 from mforce import (
     BitMatrix,
-    alt_dominates,
     all_permutation_matrices,
     core,
     corner_functions,
-    dominates,
     hankel,
     identity,
     is_forcing,
@@ -30,24 +28,6 @@ from mforce import (
     permutation_matrix,
 )
 from mforce.forcing import minimal_forcing_from_corners
-
-
-class TestDominance:
-    def test_dominates_examples(self):
-        assert dominates((2, 3), (1, 1))
-        assert dominates((2, 3), (2, 3))
-        assert not dominates((1, 3), (2, 1))
-        assert not dominates((2, 0), (2, 1))
-
-    def test_alt_dominates_examples(self):
-        assert alt_dominates((0, 3), (2, 1))
-        assert alt_dominates((1, 1), (1, 1))
-        assert not alt_dominates((2, 1), (0, 3))
-
-    @given(st.tuples(st.integers(0, 5), st.integers(0, 5)))
-    def test_both_are_reflexive(self, p):
-        assert dominates(p, p)
-        assert alt_dominates(p, p)
 
 
 class TestCornerFunctions:

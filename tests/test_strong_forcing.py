@@ -13,7 +13,7 @@ from mforce import (
     WitnessEmbedding,
     all_permutation_matrices,
     apply_symmetry,
-    canonical_form,
+    canonical_with_ops,
     conjectured_max_identity,
     dihedral_class,
     direct_sum,
@@ -301,9 +301,9 @@ def repeated(rng, base, m, n):
 
 
 class TestRunCover:
-    # is_strongly_forcing keeps at most s rows of each run of equal rows and
-    # t columns of each run of equal columns; these matrices are made of
-    # such runs.
+    # is_strongly_forcing checks _collapse(mat, s, t), which keeps at most s
+    # rows of each run of equal rows and t columns of each run of equal
+    # columns; these matrices are made of such runs.
     def test_linear_zero_constructions_and_flips_match_the_oracle(self):
         rng = random.Random(20)
         verdicts = {True: 0, False: 0}
@@ -606,10 +606,11 @@ class TestDihedral:
 
     @given(nonzero_patterns())
     def test_canonical_form_is_an_orbit_invariant(self, pattern):
-        canon = canonical_form(pattern)
+        canon, ops = canonical_with_ops(pattern)
+        assert apply_symmetry(pattern, ops) == canon
         assert canon in dihedral_class(pattern)
         for member in dihedral_class(pattern):
-            assert canonical_form(member) == canon
+            assert canonical_with_ops(member)[0] == canon
 
     def test_apply_symmetry_composition(self):
         q = parse("110\n010\n001\n")
