@@ -5,7 +5,7 @@ submatrix of A that equals Q exactly. is_strongly_forcing first keeps at
 most s rows of each run of equal rows and t columns of each run of equal
 columns, for an s x t pattern: a copy uses no more of a run than that, and
 the lines of a run are interchangeable in it, so the verdict is unchanged.
-It then searches a copy only through a 1 that no copy found so far covers.
+It then runs the search's prefix test after the last row, described below.
 
 Where plain forcing asks for minimum ones, the natural extremal question
 here is the maximum: search_max computes max ones over strongly forcing
@@ -15,29 +15,29 @@ Each row walks one candidate list: the zero masks with at least zr zeros, zr
 being the fewest zeros of a pattern row holding a 1, by zero count and then
 by mask. The walk ends at the first mask whose zeros leave the cap too few
 for zr in every later row; the others are pruned by column reach and
-per-column zero deficits under the cap. One matcher does every witness test:
-after row i, the prefix test asks that every 1 in rows 0..i lie in a copy of
-the pattern's first p rows inside rows 0..i, for some p >= s - (n-1-i),
-since the rows of a real copy at or above row i are such a prefix; after the
-last row that is strong forcing itself. Its coverage is carried down per
-prefix length, and the test is made once per parent, not per child: a copy
-that uses the child's row ends in it, so the parent lists, for each entry
-whose copies grew too short and for each column of the new row, the partial
-copies ending in that row, each as its rows and the column masks its other
-rows leave, and a child passes when its row completes one copy of each list
-under the matcher's greedy column pass. A witness search
-skips, on one bit, every row that disagrees with the pattern at the
-anchor's column before it tries the row's columns. When the pattern equals
-its transpose, so does the transpose of a strongly forcing matrix, and one
-matrix of each pair M != M^T is searched: entries M[i][b] and M[b][i],
-b < i, are compared in (i, b) order, and at the first pair that differs a
-row with its 1 below the diagonal is skipped, its transpose being kept; a
-row that settles the comparison turns the test off below it. A level set
-gets each kept matrix's transpose back. The search starts from a
-construction floor. For a separable permutation that is split_witness, one
-memoised recursion that builds each (permutation, order) witness once: direct
-sums of the parts' witnesses, skew sums through a row reversal. Every named
-permutation witness comes out of it, extremal_2x2 included.
+per-column zero deficits under the cap. One matcher does every witness test,
+and one greedy column pass, _narrow, every row it tries: after row i, the
+prefix test asks that every 1 in rows 0..i lie in a copy of the pattern's
+first p rows inside rows 0..i, for some p >= s - (n-1-i), since the rows of a
+real copy at or above row i are such a prefix; after the last row that is
+strong forcing itself. Its coverage is carried down per prefix length, and the
+test is made once per parent, not per child: a copy that uses the child's row
+ends in it, so the parent lists, for each entry whose copies grew too short
+and for each column of the new row, the partial copies ending in that row,
+each as its rows and the column masks its other rows leave, and a child passes
+when the pass accepts its row for one copy of each list. A witness search
+skips, on one bit, every row that disagrees with the pattern at the anchor's
+column before it tries the row's columns. When the pattern equals its
+transpose, so does the transpose of a strongly forcing matrix, and one matrix
+of each pair M != M^T is searched: entries M[i][b] and M[b][i], b < i, are
+compared in (i, b) order, and at the first pair that differs a row with its 1
+below the diagonal is skipped, its transpose being kept; a row that settles
+the comparison turns the test off below it. A level set gets each kept
+matrix's transpose back. The search starts from a construction floor. For a
+separable permutation that is split_witness, one memoised recursion that
+builds each (permutation, order) witness once: direct sums of the parts'
+witnesses, skew sums through a row reversal. Every named permutation witness
+comes out of it, extremal_2x2 included.
 """
 
 from __future__ import annotations
@@ -78,6 +78,27 @@ class WitnessEmbedding:
         }
 
 
+def _narrow(masks: list[int], ones: int, zeros: int, qrow: int) -> tuple[list[int], list[int]] | None:
+    """masks narrowed by one matrix row, and the least columns they allow, or None.
+
+    Pattern column j keeps the columns of masks[j] in ones where bit j of the
+    pattern row qrow is 1, in zeros where it is 0. The greedy pass takes the
+    least column of each narrowed mask above the one before it: the least
+    increasing column choice, which exists whenever any does.
+    """
+    out, cols, col = [], [], -1
+    for mask in masks:
+        mask &= ones if qrow & 1 else zeros
+        avail = mask >> (col + 1)
+        if not avail:
+            return None
+        col += (avail & -avail).bit_length()
+        out.append(mask)
+        cols.append(col)
+        qrow >>= 1
+    return out, cols
+
+
 def _witness_through(abits, m: int, n: int, qbits, t: int, q_ones, p_min: int,
                      r: int, c: int, tails: list | None = None):
     """Exact copy of a pattern prefix through 1-entry (r, c), or None.
@@ -86,16 +107,13 @@ def _witness_through(abits, m: int, n: int, qbits, t: int, q_ones, p_min: int,
     row-major order. An anchor in pattern row y asks for a copy of the first
     s = max(p_min, y + 1) pattern rows; with p_min the pattern's height that
     is the whole pattern. The remaining prefix rows go to matrix rows in
-    ascending order. The anchor pins pattern column x to matrix column c, so
-    a row whose bit at c differs from pattern row i's bit at x can never
-    match and is skipped on that one bit. Each other row tried takes one
-    pass over the pattern columns: it narrows column j's mask of matrix
-    columns still consistent with the rows chosen so far, and rejects the
-    row as soon as no column of a mask lies above the least one the masks
-    before it allow. Only the masks are carried down. Once the last row is
-    accepted, the same greedy reads the copy's columns off the final masks
-    once: the smallest column of each mask above the previous one, which is
-    the least increasing column selection and exists whenever any does.
+    ascending order. Every row, the anchor's first, goes through _narrow,
+    which narrows each pattern column's mask of matrix columns consistent
+    with the rows chosen so far; the anchor's row starts from masks that are
+    full but for column x, pinned to c. So a row whose bit at c differs from
+    pattern row i's bit at x can never match and is skipped on that one bit.
+    Only the masks are carried down, and the last row's pass gives the
+    copy's columns: the least increasing column selection.
 
     With tails, a list, the walk collects instead of returning: it appends
     (rows_sel, masks) for every partial copy whose last row is row m, one
@@ -104,13 +122,13 @@ def _witness_through(abits, m: int, n: int, qbits, t: int, q_ones, p_min: int,
     0..m-1 as above. The anchor either lies among them (r < m, y below the
     copy's last row) or is row m itself (r == m, y the copy's last row,
     which pins column x to c and nothing else). A row m completes the copy
-    when the greedy pass over the copy's last pattern row accepts it.
+    when _narrow accepts it against the copy's last pattern row.
     """
     full = (1 << n) - 1
     tail = tails is not None
     # Rows a copy may use: with tails, row m too, as the copy's last row.
     mm = m + tail
-    ones_r, zeros_r = (abits[r], ~abits[r] & full) if r < m else (full, full)
+    ones_r, zeros_r = (abits[r], ~abits[r]) if r < m else (full, full)
     for y, x in q_ones:
         s = max(p_min, y + 1)
         last = s - tail  # pattern rows 0..last-1 lie in rows 0..m-1
@@ -118,59 +136,40 @@ def _witness_through(abits, m: int, n: int, qbits, t: int, q_ones, p_min: int,
             continue
         if r < y or mm - 1 - r < s - 1 - y or c < x or n - 1 - c < t - 1 - x:
             continue
-        qrow = qbits[y]
-        masks, col = [], -1
-        for j in range(t):
-            mask = ones_r if (qrow >> j) & 1 else zeros_r
-            if j == x:
-                mask &= 1 << c
-            avail = mask >> (col + 1)
-            if avail == 0:
-                break
-            col += (avail & -avail).bit_length()
-            masks.append(mask)
-        else:
-            rows_sel = [m] * s
-            rows_sel[y] = r
+        masks = [full] * t
+        masks[x] = 1 << c
+        got = _narrow(masks, ones_r, zeros_r, qbits[y])
+        if got is None:
+            continue
+        rows_sel = [m] * s
+        rows_sel[y] = r
 
-            def assign(i: int, prev: int, masks: list[int]):
-                if i == last:
-                    if tail:
-                        tails.append((tuple(rows_sel), masks))
-                        return None
-                    picks, col = [], -1
-                    for mask in masks:
-                        avail = mask >> (col + 1)
-                        col += (avail & -avail).bit_length()
-                        picks.append(col)
-                    return picks
-                if i == y:
-                    return assign(i + 1, r, masks)
-                hi = r - (y - i) if i < y else mm - (s - i)
-                qrow_i = qbits[i]
-                anchor_bit = (qrow_i >> x) & 1
-                for rr in range(prev + 1, hi + 1):
-                    arow = abits[rr]
-                    if (arow >> c) & 1 != anchor_bit:
-                        continue
-                    nxt, col = [], -1
-                    for j in range(t):
-                        mask = masks[j] & (arow if (qrow_i >> j) & 1 else ~arow & full)
-                        avail = mask >> (col + 1)
-                        if avail == 0:
-                            break
-                        col += (avail & -avail).bit_length()
-                        nxt.append(mask)
-                    else:
-                        rows_sel[i] = rr
-                        got = assign(i + 1, rr, nxt)
-                        if got is not None:
-                            return got
-                return None
+        def assign(i: int, prev: int, masks: list[int], cols: list[int]):
+            if i == last:
+                if tail:
+                    tails.append((tuple(rows_sel), masks))
+                    return None
+                return cols
+            if i == y:
+                return assign(i + 1, r, masks, cols)
+            hi = r - (y - i) if i < y else mm - (s - i)
+            qrow_i = qbits[i]
+            anchor_bit = (qrow_i >> x) & 1
+            for rr in range(prev + 1, hi + 1):
+                arow = abits[rr]
+                if (arow >> c) & 1 != anchor_bit:
+                    continue
+                got = _narrow(masks, arow, ~arow, qrow_i)
+                if got is not None:
+                    rows_sel[i] = rr
+                    cols = assign(i + 1, rr, *got)
+                    if cols is not None:
+                        return cols
+            return None
 
-            cols = assign(0, -1, masks)
-            if cols is not None:
-                return tuple(rows_sel), tuple(cols)
+        cols = assign(0, -1, *got)
+        if cols is not None:
+            return tuple(rows_sel), tuple(cols)
     return None
 
 
@@ -215,34 +214,17 @@ def _collapse(mat: BitMatrix, s: int, t: int) -> BitMatrix:
 def is_strongly_forcing(mat: BitMatrix, pattern: BitMatrix) -> bool:
     """True when every 1-entry of mat lies in a submatrix equal to the pattern.
 
-    An all-zero matrix passes vacuously, whatever the pattern. The check
-    runs on mat with its runs of equal lines collapsed (_collapse), making
-    one witness search per 1 that no copy found so far covers.
+    An all-zero matrix passes vacuously, whatever the pattern. The check is
+    the search's prefix test after the last row: _Completions' walk over
+    mat with its runs of equal lines collapsed (_collapse), all its rows
+    fixed and whole-pattern copies asked for. It makes one witness search
+    per 1 that no copy found so far covers.
     """
     check_fit(mat.rows, mat.cols, pattern)
     mat = _collapse(mat, pattern.rows, pattern.cols)
-    abits, m, n = mat.bits, mat.rows, mat.cols
-    q_ones = _pattern_ones(pattern)
-    seen = [0] * m
-    for r in range(m):
-        row = abits[r] & ~seen[r]
-        while row:
-            low = row & -row
-            row ^= low
-            if seen[r] & low:
-                continue
-            got = _witness_through(abits, m, n, pattern.bits, pattern.cols, q_ones,
-                                   pattern.rows, r, low.bit_length() - 1)
-            if got is None:
-                return False
-            rows_sel, cols_sel = got
-            # The copy's 0s mark 0s of mat, which are never read.
-            cover = 0
-            for cc in cols_sel:
-                cover |= 1 << cc
-            for rr in rows_sel:
-                seen[rr] |= cover
-    return True
+    s = pattern.rows
+    return _Completions(mat.bits, mat.rows, mat.cols, pattern.bits, pattern.cols,
+                        _pattern_ones(pattern), s, (0,) * (s + 1))._next_stale() is None
 
 
 class _Completions:
@@ -255,19 +237,21 @@ class _Completions:
     a copy of the first max(p_min, y + 1) rows inside rows 0..i, for some
     anchor (y, x) standing for it. Every copy that uses row i ends there, so
     the test lists partial copies ending in row i, each as its rows and the
-    column masks its other rows leave. The first copy of a list that the
-    child's row completes under the matcher's greedy pass, at its least
-    columns, is the hit. Each list is made once, the first time a child
-    needs it, by _witness_through's tails walk:
+    column masks its other rows leave. The first copy of a list that
+    _narrow accepts the child's row for, at its least columns, is the hit.
+    Each list is made once, the first time a child needs it, by
+    _witness_through's tails walk:
     - a stale entry, a 1 of rows 0..i-1 outside cov[p_min], in row-major
-      order: one witness search inside rows 0..i-1 first; a copy there
-      covers the entry, and the entries of the copy, for every child. Else
-      its list holds the p_min-row copies ending in row i. An entry with an
-      empty list fails every child, but under a node that passed its own
-      test it has copies: p_min grows by at most one a row, and row i can
-      extend any shorter copy by one row;
+      order: one witness search inside rows 0..i-1 first (_next_stale); a
+      copy there covers the entry, and the entries of the copy, for every
+      child. Else its list holds the p_min-row copies ending in row i. An
+      entry with an empty list fails every child, but under a node that
+      passed its own test it has copies: p_min grows by at most one a row,
+      and row i can extend any shorter copy by one row;
     - a column c of row i: the copies ending in row i through (i, c),
       anchored at any pattern row y >= p_min - 1, longest first.
+    With every row fixed (i = m) and p_min the pattern's height, the walk
+    of _next_stale alone is the strong forcing test, is_strongly_forcing.
     """
 
     def __init__(self, rows, i: int, n: int, qbits, t: int, q_ones, p_min: int,
@@ -297,9 +281,9 @@ class _Completions:
         for p in range(self.p_min, len(rows_sel) + 1):
             levels[p] |= cells
 
-    def _next_stale(self) -> bool:
-        # Settles stale entries in order until one needs partial copies, whose
-        # list joins self.stale; False when none is left.
+    def _next_stale(self) -> tuple[int, int] | None:
+        # Settles stale entries in order and returns the first with no copy
+        # inside rows 0..i-1, or None when none is left.
         levels, n, p_min = self.levels, self.n, self.p_min
         while self.todo:
             low = self.todo & -self.todo
@@ -310,19 +294,20 @@ class _Completions:
             got = _witness_through(self.rows, self.i, n, self.qbits, self.t, self.q_ones,
                                    p_min, r, c)
             if got is None:
-                self.stale.append(self._tails(self.q_ones, r, c))
-                return True
+                return r, c
             self._mark(levels, *got)
-        return False
+        return None
 
     def child_cov(self, row: int) -> tuple[int, ...] | None:
         """The child's coverage, the parent's plus one hit per list, or None."""
-        stale, by_column, qbits = self.stale, self.by_column, self.qbits
+        stale, by_column = self.stale, self.by_column
         # The stale entries, then each 1 of row i that no hit covers yet: a
-        # hit covers the 1s of row i at its picks.
+        # hit covers the 1s of row i at its columns.
         hits, rest, k, nrow = [], row, 0, ~row
         while True:
-            if k < len(stale) or self._next_stale():
+            if k == len(stale) and (entry := self._next_stale()) is not None:
+                stale.append(self._tails(self.q_ones, *entry))
+            if k < len(stale):
                 tails = stale[k]
                 k += 1
             elif rest:
@@ -333,24 +318,16 @@ class _Completions:
             else:
                 break
             for rows_sel, masks in tails:
-                # want walks the last pattern row's bits, column by column.
-                want, picks, col = qbits[len(rows_sel) - 1], [], -1
-                for mask in masks:
-                    avail = (mask & (row if want & 1 else nrow)) >> (col + 1)
-                    if avail == 0:
-                        break
-                    col += (avail & -avail).bit_length()
-                    picks.append(col)
-                    want >>= 1
-                else:
-                    hits.append((rows_sel, picks))
-                    rest &= ~sum(1 << col for col in picks)
+                got = _narrow(masks, row, nrow, self.qbits[len(rows_sel) - 1])
+                if got is not None:
+                    hits.append((rows_sel, got[1]))
+                    rest &= ~sum(1 << col for col in got[1])
                     break
             else:
                 return None
         levels = self.levels[:]
-        for rows_sel, picks in hits:
-            self._mark(levels, rows_sel, picks)
+        for rows_sel, cols in hits:
+            self._mark(levels, rows_sel, cols)
         return tuple(levels)
 
 
@@ -807,9 +784,10 @@ class ResultsCache:
         """The stored outcome, or None; elapsed is this lookup's own time."""
         start = time.monotonic()
         hit = _decode_entry(self.entries.get(self.key(n, pattern, all_extremal)))
-        # An entry is trusted only when every witness still verifies at its
-        # stated ones count; anything else is searched again.
-        if hit is None or not hit.witnesses or not all(
+        # Trusted only with distinct witnesses, just one unless it is a level
+        # set, each still verifying at its stated ones count; else a miss.
+        count = len(hit.witnesses) if hit else 0
+        if not count or len(set(hit.witnesses)) < count or (count > 1 and not all_extremal) or not all(
             (w.rows, w.cols) == (n, n) and w.ones_count() == hit.best_ones
             and is_strongly_forcing(w, pattern) for w in hit.witnesses
         ):

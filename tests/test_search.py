@@ -418,9 +418,14 @@ class TestResultsCache:
         ("witnesses", serialize(extremal_2x2(4, "i2"))),  # text, not a list of texts
         ("nodes_explored", "12"),
         (None, [serialize(extremal_2x2(4, "i2"))]),  # field None replaces the whole entry
+        ("witnesses", [serialize(extremal_2x2(4, "i2"))] * 2),
+        # Two forcing 11-one matrices: a plain key holds one witness, not a level set.
+        (None, {"version": CACHE_VERSION, "status": "exact", "best_ones": 11, "nodes_explored": 10,
+                "witnesses": ["4 4\n1100\n1011\n0111\n0111\n", "4 4\n1100\n1011\n1011\n0111\n"]}),
     ], ids=["witness-not-forcing", "witness-wrong-order", "no-witness", "ones-count-mismatch",
             "version-older", "version-missing", "witnesses-missing", "witness-unparsable",
-            "witnesses-not-a-list", "nodes-not-an-int", "entry-not-an-object"])
+            "witnesses-not-a-list", "nodes-not-an-int", "entry-not-an-object", "witness-repeated",
+            "plain-key-holds-two"])
     def test_entry_that_fails_to_verify_is_searched_again(self, tmp_path, field, value):
         path = tmp_path / "results.json"
         first = search_max(4, identity(2), cache=ResultsCache(path))
@@ -439,6 +444,18 @@ class TestResultsCache:
         again = search_max(4, identity(2), cache=cache)
         assert self.payload(again) == self.payload(first)
         assert self.payload(ResultsCache(path).get(4, identity(2))) == self.payload(first)
+
+    def test_level_set_is_served_only_under_its_own_key_and_without_repeats(self, tmp_path):
+        cache = ResultsCache(tmp_path / "results.json")
+        level = search_max(4, identity(3), SearchConfig(enumerate_all_extremal=True))
+        assert len(level.witnesses) == 2
+        cache.put(4, identity(3), level, all_extremal=True)
+        assert self.payload(cache.get(4, identity(3), all_extremal=True)) == self.payload(level)
+        cache.put(4, identity(3), level, all_extremal=False)
+        assert cache.get(4, identity(3)) is None
+        repeated = replace(level, witnesses=level.witnesses[:1] * 2)
+        cache.put(4, identity(3), repeated, all_extremal=True)
+        assert cache.get(4, identity(3), all_extremal=True) is None
 
     def test_file_that_is_not_an_object_is_refused_and_kept(self, tmp_path):
         path = tmp_path / "results.json"

@@ -38,6 +38,26 @@ from mforce import strong_forcing
 from mforce.strong_forcing import _Completions
 
 
+class TestNarrow:
+    # _narrow is the one greedy column pass behind every witness test: the
+    # anchor's row, every later row of a copy, and a search child's row.
+    def test_least_columns_match_a_literal_search(self):
+        rng = random.Random(22)
+        accepted = refused = 0
+        for _ in range(3000):
+            t, n = rng.randint(1, 5), rng.randint(1, 8)
+            masks = [rng.getrandbits(n) | rng.getrandbits(n) for _ in range(t)]
+            row, qrow = rng.getrandbits(n), rng.getrandbits(t)
+            narrowed = [mask & (row if qrow >> j & 1 else ~row) for j, mask in enumerate(masks)]
+            want = next((list(cols) for cols in combinations(range(n), t)
+                         if all(narrowed[j] >> col & 1 for j, col in enumerate(cols))), None)
+            got = strong_forcing._narrow(masks, row, ~row, qrow)
+            assert got == (None if want is None else (narrowed, want)), (masks, row, qrow)
+            accepted += want is not None
+            refused += want is None
+        assert min(accepted, refused) > 600, (accepted, refused)
+
+
 def literal_witness(mat, pattern, r, c):
     """The first pattern 1 in row-major order that admits a copy through
     (r, c), then the least row and least column selections by itertools
@@ -300,7 +320,7 @@ def repeated(rng, base, m, n):
     return BitMatrix(m, n, tuple(out))
 
 
-class TestRunCover:
+class TestCollapse:
     # is_strongly_forcing checks _collapse(mat, s, t), which keeps at most s
     # rows of each run of equal rows and t columns of each run of equal
     # columns; these matrices are made of such runs.
