@@ -6,6 +6,8 @@ most s rows of each run of equal rows and t columns of each run of equal
 columns, for an s x t pattern: a copy uses no more of a run than that, and
 the lines of a run are interchangeable in it, so the verdict is unchanged.
 It then runs the search's prefix test after the last row, described below.
+When the pattern and the collapsed matrix both equal their transposes, the
+transpose of each copy it finds is a copy too, and is marked with it.
 
 Where plain forcing asks for minimum ones, the natural extremal question
 here is the maximum: search_max computes max ones over strongly forcing
@@ -113,7 +115,9 @@ def _witness_through(abits, m: int, n: int, qbits, t: int, q_ones, p_min: int,
     full but for column x, pinned to c. So a row whose bit at c differs from
     pattern row i's bit at x can never match and is skipped on that one bit.
     Only the masks are carried down, and the last row's pass gives the
-    copy's columns: the least increasing column selection.
+    copy's columns: the least increasing column selection. One recursive
+    function per anchor, assign, walks the rows; it takes the anchor's
+    constants as default arguments.
 
     With tails, a list, the walk collects instead of returning: it appends
     (rows_sel, masks) for every partial copy whose last row is row m, one
@@ -144,9 +148,17 @@ def _witness_through(abits, m: int, n: int, qbits, t: int, q_ones, p_min: int,
         rows_sel = [m] * s
         rows_sel[y] = r
 
-        def assign(i: int, prev: int, masks: list[int], cols: list[int]):
+        # With the anchor's constants as defaults, assign closes over itself
+        # alone (one cell, not thirteen) and reads them as fast locals. It
+        # stays nested: a module-level or loop form leaves no cycle, and in a
+        # process that imports the package afresh each round (perfbench)
+        # this small cycle's garbage is what sets off the full collections
+        # that free the old copies.
+        def assign(i: int, prev: int, masks: list[int], cols: list[int], abits=abits,
+                   qbits=qbits, x=x, y=y, r=r, c=c, s=s, last=last, mm=mm, tails=tails,
+                   rows_sel=rows_sel):
             if i == last:
-                if tail:
+                if tails is not None:
                     tails.append((tuple(rows_sel), masks))
                     return None
                 return cols
@@ -218,13 +230,16 @@ def is_strongly_forcing(mat: BitMatrix, pattern: BitMatrix) -> bool:
     the search's prefix test after the last row: _Completions' walk over
     mat with its runs of equal lines collapsed (_collapse), all its rows
     fixed and whole-pattern copies asked for. It makes one witness search
-    per 1 that no copy found so far covers.
+    per 1 that no copy found so far covers. When the pattern and the
+    collapsed matrix both equal their transposes, each copy found also
+    covers the 1s of its transpose: a copy of Q^T = Q in M^T = M.
     """
     check_fit(mat.rows, mat.cols, pattern)
     mat = _collapse(mat, pattern.rows, pattern.cols)
     s = pattern.rows
+    mirror = pattern == pattern.transpose() and mat == mat.transpose()
     return _Completions(mat.bits, mat.rows, mat.cols, pattern.bits, pattern.cols,
-                        _pattern_ones(pattern), s, (0,) * (s + 1))._next_stale() is None
+                        _pattern_ones(pattern), s, (0,) * (s + 1))._next_stale(mirror) is None
 
 
 class _Completions:
@@ -281,9 +296,10 @@ class _Completions:
         for p in range(self.p_min, len(rows_sel) + 1):
             levels[p] |= cells
 
-    def _next_stale(self) -> tuple[int, int] | None:
+    def _next_stale(self, mirror: bool = False) -> tuple[int, int] | None:
         # Settles stale entries in order and returns the first with no copy
-        # inside rows 0..i-1, or None when none is left.
+        # inside rows 0..i-1, or None when none is left. With mirror, each
+        # copy's transpose is marked too (see is_strongly_forcing).
         levels, n, p_min = self.levels, self.n, self.p_min
         while self.todo:
             low = self.todo & -self.todo
@@ -296,6 +312,8 @@ class _Completions:
             if got is None:
                 return r, c
             self._mark(levels, *got)
+            if mirror:
+                self._mark(levels, got[1], got[0])
         return None
 
     def child_cov(self, row: int) -> tuple[int, ...] | None:
@@ -785,12 +803,15 @@ class ResultsCache:
         start = time.monotonic()
         hit = _decode_entry(self.entries.get(self.key(n, pattern, all_extremal)))
         # Trusted only with distinct witnesses, just one unless it is a level
-        # set, each still verifying at its stated ones count; else a miss.
+        # set, each still verifying at its stated ones count; else a miss. A
+        # level set of a pattern equal to its transpose holds the transpose
+        # of each of its matrices.
         count = len(hit.witnesses) if hit else 0
         if not count or len(set(hit.witnesses)) < count or (count > 1 and not all_extremal) or not all(
             (w.rows, w.cols) == (n, n) and w.ones_count() == hit.best_ones
             and is_strongly_forcing(w, pattern) for w in hit.witnesses
-        ):
+        ) or (all_extremal and pattern == pattern.transpose()
+              and {w.transpose() for w in hit.witnesses} != set(hit.witnesses)):
             return None
         return replace(hit, elapsed=time.monotonic() - start)
 

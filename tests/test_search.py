@@ -456,6 +456,16 @@ class TestResultsCache:
         repeated = replace(level, witnesses=level.witnesses[:1] * 2)
         cache.put(4, identity(3), repeated, all_extremal=True)
         assert cache.get(4, identity(3), all_extremal=True) is None
+        # The level set of a pattern equal to its transpose is closed under
+        # transposition; (4, 001/000/100)'s is two transposes of each other.
+        corners = parse("001\n000\n100")
+        level = search_max(4, corners, SearchConfig(enumerate_all_extremal=True))
+        assert level.witnesses[1] == level.witnesses[0].transpose()
+        for kept in level.witnesses:
+            cache.put(4, corners, replace(level, witnesses=(kept,)), all_extremal=True)
+            assert cache.get(4, corners, all_extremal=True) is None
+            assert self.payload(search_max(4, corners, SearchConfig(enumerate_all_extremal=True),
+                                           cache=cache)) == self.payload(level)
 
     def test_file_that_is_not_an_object_is_refused_and_kept(self, tmp_path):
         path = tmp_path / "results.json"
