@@ -58,16 +58,13 @@ from .strong_forcing import (
     apply_symmetry,
     canonical_with_ops,
     conjectured_max_identity,
-    dihedral_class,
     extremal_132_witness,
-    extremal_2x2,
     extremal_identity_witness,
     find_witness,
     is_strongly_forcing,
     linear_zero_construction,
     search_max,
     split_witness,
-    upper_bound_3x3,
     upper_bound_simple,
 )
 
@@ -89,11 +86,9 @@ __all__ = [
     "conjectured_max_identity",
     "core",
     "corner_functions",
-    "dihedral_class",
     "direct_sum",
     "entrywise_leq",
     "extremal_132_witness",
-    "extremal_2x2",
     "extremal_identity_witness",
     "find_witness",
     "hankel",
@@ -122,7 +117,6 @@ __all__ = [
     "search_max",
     "serialize",
     "split_witness",
-    "upper_bound_3x3",
     "upper_bound_simple",
 ]
 

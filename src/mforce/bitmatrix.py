@@ -43,10 +43,7 @@ class BitMatrix:
     bits: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not (1 <= self.rows <= MAX_SIDE and 1 <= self.cols <= MAX_SIDE):
-            raise ValueError(
-                f"dimensions must be within [1, {MAX_SIDE}] per side, got {self.rows}x{self.cols}"
-            )
+        check_sides(self.rows, self.cols)
         if len(self.bits) != self.rows:
             raise ValueError(f"expected {self.rows} packed rows, got {len(self.bits)}")
         limit = 1 << self.cols
@@ -64,9 +61,6 @@ class BitMatrix:
 
     def ones_count(self) -> int:
         return sum(map(int.bit_count, self.bits))
-
-    def zeros_count(self) -> int:
-        return self.rows * self.cols - self.ones_count()
 
     def iter_ones(self) -> Iterator[Position]:
         """Positions of 1-entries in row-major order."""
@@ -116,6 +110,12 @@ class BitMatrix:
         return f"BitMatrix({self.rows}x{self.cols}, {'/'.join(_row_text(r, self.cols) for r in self.bits)})"
 
 
+def check_sides(rows: int, cols: int) -> None:
+    """Raise ValueError unless rows x cols is a valid shape; builders call it before allocating."""
+    if not (1 <= rows <= MAX_SIDE and 1 <= cols <= MAX_SIDE):
+        raise ValueError(f"dimensions must be within [1, {MAX_SIDE}] per side, got {rows}x{cols}")
+
+
 def check_fit(m: int, n: int, pattern: BitMatrix) -> None:
     """Raise ValueError unless the pattern fits inside an m x n matrix."""
     if m < pattern.rows or n < pattern.cols:
@@ -151,6 +151,7 @@ def _row_text(row: int, cols: int) -> str:
 
 def make(rows: int, cols: int, fill: int = 0) -> BitMatrix:
     """Constant matrix filled with 0s or 1s."""
+    check_sides(rows, cols)
     if fill not in (0, 1):
         raise ValueError("fill must be 0 or 1")
     row = (1 << cols) - 1 if fill else 0
@@ -159,11 +160,13 @@ def make(rows: int, cols: int, fill: int = 0) -> BitMatrix:
 
 def identity(k: int) -> BitMatrix:
     """k x k matrix with 1s on the main diagonal."""
+    check_sides(k, k)
     return BitMatrix(k, k, tuple(1 << i for i in range(k)))
 
 
 def hankel(k: int) -> BitMatrix:
     """k x k matrix with 1s on the anti-diagonal."""
+    check_sides(k, k)
     return BitMatrix(k, k, tuple(1 << (k - 1 - i) for i in range(k)))
 
 

@@ -30,12 +30,11 @@ from .forcing import (
     minimal_forcing,
 )
 from .oracle import EnumerationCapError
-from .patterns import named
+from .patterns import _FAMILY, named
 from .strong_forcing import (
     ResultsCache,
     SearchConfig,
     extremal_132_witness,
-    extremal_2x2,
     extremal_identity_witness,
     find_witness,
     is_strongly_forcing,
@@ -55,8 +54,9 @@ def load_pattern(spec: str) -> BitMatrix:
     try:
         return named(spec)
     except ValueError as exc:
-        # A perm: word is a name, so its own fault is the one to report.
-        if spec.lower().startswith("perm:") and not Path(spec).exists():
+        # A perm: word or i/h/j family name reports its own fault: a bad word, a side too long.
+        key = spec.lower()
+        if (key.startswith("perm:") or _FAMILY.fullmatch(key)) and not Path(spec).exists():
             raise CliError(str(exc)) from None
     if spec == "-":
         return parse(sys.stdin.read())
@@ -183,7 +183,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
     elif which == "linear-zero":
         matrix = linear_zero_construction(need("m"), need("n"), load_pattern(need("pattern")))
     elif which == "extremal-2x2":
-        matrix = extremal_2x2(need("n"), args.variant)
+        matrix = split_witness(need("n"), named(args.variant))
     else:
         matrix = direct_sum(
             split_witness(need("n1"), identity(need("k1"))),

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .bitmatrix import BitMatrix, Position, check_fit, check_pattern, entrywise_leq, serialize
+from .bitmatrix import BitMatrix, Position, check_fit, check_pattern, check_sides, entrywise_leq, serialize
 from .patterns import hankel, identity, is_permutation_matrix
 
 
@@ -179,6 +179,7 @@ def minimal_forcing(m: int, n: int, pattern: BitMatrix) -> BitMatrix:
     window can place on row i.
     """
     check_pattern(m, n, pattern)
+    check_sides(m, n)
     s, t = pattern.rows, pattern.cols
     smears = [_smear(row, n - t + 1) for row in pattern.bits]
     span = m - s

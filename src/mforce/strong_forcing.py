@@ -39,7 +39,7 @@ matrix's transpose back. The search starts from a construction floor. For a
 separable permutation that is split_witness, one memoised recursion that
 builds each (permutation, order) witness once: direct sums of the parts'
 witnesses, skew sums through a row reversal. Every named permutation witness
-comes out of it, extremal_2x2 included.
+comes out of it.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ from pathlib import Path
 from typing import Iterable
 
 from .bitmatrix import (
-    BitMatrix, Position, check_fit, check_pattern, direct_sum, hankel, identity, make,
+    BitMatrix, Position, check_fit, check_pattern, check_sides, direct_sum, identity, make,
     parse, serialize,
 )
 from .patterns import is_permutation_matrix, permutation_matrix, permutation_of
@@ -379,21 +379,6 @@ def linear_zero_construction(m: int, n: int, pattern: BitMatrix) -> BitMatrix:
     return BitMatrix(m, n, tuple(out))
 
 
-def extremal_2x2(n: int, variant: str = "i2") -> BitMatrix:
-    """The unique maximum strongly forcing matrix for a 2x2 permutation pattern.
-
-    The split witness of the pattern: all ones except one zero per row, the
-    anti-diagonal zeroed for the identity ("i2") and, through the row
-    reversal, the main diagonal zeroed for the anti-identity ("h2"). Ones
-    count is n^2 - n.
-    """
-    if n < 2:
-        raise ValueError("order must be at least 2")
-    if variant not in ("i2", "h2"):
-        raise ValueError(f"unknown variant {variant!r}, expected 'i2' or 'h2'")
-    return split_witness(n, identity(2) if variant == "i2" else hankel(2))
-
-
 def split_witness(n: int, pattern: BitMatrix) -> BitMatrix | None:
     """Strongly forcing n x n witness for a separable permutation, else None.
 
@@ -407,6 +392,7 @@ def split_witness(n: int, pattern: BitMatrix) -> BitMatrix | None:
     (permutation, order) is built once.
     """
     check_fit(n, n, pattern)
+    check_sides(n, n)
     if not is_permutation_matrix(pattern):
         return None
 
@@ -461,8 +447,6 @@ def extremal_132_witness(n: int) -> BitMatrix:
     The split witness of 1 + 21: a single 1 followed by an all-ones block
     with its main diagonal zeroed.
     """
-    if n < 3:
-        raise ValueError("order must be at least 3")
     return split_witness(n, permutation_matrix((0, 2, 1)))
 
 
@@ -476,18 +460,13 @@ def upper_bound_simple(n: int, k: int) -> int:
     return n * n - (k - 1) * n
 
 
-def upper_bound_3x3(n: int) -> int:
-    """Exact maximum n^2 - 3n + 3, shared by all six 3x3 permutation patterns."""
-    if n < 3:
-        raise ValueError("order must be at least 3")
-    return n * n - 3 * n + 3
-
-
 def conjectured_max_identity(n: int, k: int) -> int:
-    """Conjectured maximum for the k x k identity: n^2 - (2k-3)n - (2k - k^2).
+    """g(k, n) = n^2 - (2k-3)n - (2k - k^2), the one formula of the strong-forcing maxima.
 
-    Realised by extremal_identity_witness, hence always a lower bound; known
-    exact for k = 2 and k = 3.
+    The split floor of every separable k x k permutation: g(k, n) = g(k-1, n-1)
+    + 1 and g(a, a) = a, so parts of sizes a and k - a, one at its own order a,
+    give a + g(k-a, n-a) = g(k, n) ones. Exact for every 2x2 and 3x3
+    permutation (n^2 - n, n^2 - 3n + 3); conjectured exact for the identity.
     """
     if k < 2 or n < k:
         raise ValueError("formula needs n >= k >= 2")
@@ -521,11 +500,6 @@ def apply_symmetry(mat: BitMatrix, ops: Iterable[str]) -> BitMatrix:
 def symmetry_ops(mat: BitMatrix) -> tuple[tuple[str, ...], ...]:
     """Generator sequences of mat's symmetry group: all eight when square, else four."""
     return _SQUARE_OPS if mat.rows == mat.cols else _RECT_OPS
-
-
-def dihedral_class(pattern: BitMatrix) -> frozenset[BitMatrix]:
-    """Orbit under row reversal, column reversal, and (square only) transposition."""
-    return frozenset(apply_symmetry(pattern, seq) for seq in symmetry_ops(pattern))
 
 
 def canonical_with_ops(pattern: BitMatrix) -> tuple[BitMatrix, tuple[str, ...]]:
@@ -685,7 +659,6 @@ def _branch_and_bound(n: int, pattern: BitMatrix, config: SearchConfig) -> Searc
                 col_i |= (rows[b] >> i & 1) << b
             low = (1 << i) - 1
         rows_after = n - i - 1
-        # Columns outside reached[last] can no longer reach zc zeros.
         last = zc - 1 - rows_after
         below = (full,) + reached[:-1]
         # Each later row needs zr zeros too. z only grows along the list,
@@ -712,6 +685,12 @@ def _branch_and_bound(n: int, pattern: BitMatrix, config: SearchConfig) -> Searc
                     child_tied = False
             ones = col_ones | row
             nxt = tuple([r | (b & zmask) for b, r in zip(below, reached)])
+            # Column reach: a 1 outside nxt[last] cannot get zc zeros in its
+            # column. Kept only as cheap, it never changes the tree: each 1 in
+            # column c lies in a copy of the pattern's first p >= s - rows_after
+            # rows inside rows 0..i, whose pattern column holds at least zc
+            # zeros, at least zc - (s - p) of them in those p rows, all landing
+            # in column c. So a child rejected here fails the prefix test too.
             if last >= 0 and ones & ~nxt[last]:
                 continue
             deficit = sum([(ones & ~r).bit_count() for r in nxt])

@@ -41,12 +41,11 @@ from .strong_forcing import (
     apply_symmetry,
     conjectured_max_identity,
     extremal_132_witness,
-    extremal_2x2,
     extremal_identity_witness,
     is_strongly_forcing,
     search_max,
+    split_witness,
     symmetry_ops,
-    upper_bound_3x3,
     upper_bound_simple,
 )
 
@@ -179,20 +178,19 @@ def suite_2x2(n_max: int = 6, k_max: int | None = None) -> Iterator[Claim]:
     """Maximum ones for the 2x2 permutation patterns, value and uniqueness."""
     for n in range(2, min(n_max, 4) + 1):  # the oracle sweeps stop at n = 4
         best, level = oracle_max_strong(n, identity(2))
-        unique = len(level) == 1 and level[0] == extremal_2x2(n, "i2")
+        unique = len(level) == 1 and level[0] == split_witness(n, identity(2))
         yield (
             "max-strong-2x2-sweep", f"n={n},pattern=i2",
-            f"{n * n - n}, unique complement of anti-identity",
+            f"{conjectured_max_identity(n, 2)}, unique complement of anti-identity",
             f"{best}, {'unique complement of anti-identity' if unique else 'level size ' + str(len(level))}",
         )
     for variant, pat in (("i2", identity(2)), ("h2", hankel(2))):
         for n in range(2, n_max + 1):
             out = search_max(n, pat, SearchConfig(enumerate_all_extremal=True))
-            unique = (len(out.witnesses) == 1
-                      and out.witnesses[0] == extremal_2x2(n, variant))
+            unique = len(out.witnesses) == 1 and out.witnesses[0] == split_witness(n, pat)
             yield (
                 "max-strong-2x2-search", f"n={n},pattern={variant}",
-                f"exact {n * n - n}, unique",
+                f"exact {conjectured_max_identity(n, 2)}, unique",
                 f"{out.status} {out.best_ones}, {'unique' if unique else str(len(out.witnesses)) + ' witnesses'}",
             )
 
@@ -203,18 +201,18 @@ def suite_3x3(n_max: int = 5, k_max: int | None = None) -> Iterator[Claim]:
         word = _word(p)
         if n_max >= 4:
             o4, _ = oracle_max_strong(4, p)
-            yield "max-strong-3x3-sweep", f"n=4,pattern={word}", str(upper_bound_3x3(4)), str(o4)
+            yield "max-strong-3x3-sweep", f"n=4,pattern={word}", str(conjectured_max_identity(4, 3)), str(o4)
         for n in range(4, n_max + 1):
             out = search_max(n, p)
             yield ("max-strong-3x3-search", f"n={n},pattern={word}",
-                   f"exact {upper_bound_3x3(n)}", f"{out.status} {out.best_ones}")
+                   f"exact {conjectured_max_identity(n, 3)}", f"{out.status} {out.best_ones}")
     for n in range(3, CONSTRUCTION_N_MAX + 1):
         for theorem_id, witness, pattern in (
             ("construction-123", extremal_identity_witness(n, 3), identity(3)),
             ("construction-132", extremal_132_witness(n), named("b3")),
         ):
             forcing = "strongly forcing" if is_strongly_forcing(witness, pattern) else "NOT strongly forcing"
-            yield (theorem_id, f"n={n}", f"{upper_bound_3x3(n)} ones, strongly forcing",
+            yield (theorem_id, f"n={n}", f"{conjectured_max_identity(n, 3)} ones, strongly forcing",
                    f"{witness.ones_count()} ones, {forcing}")
 
 

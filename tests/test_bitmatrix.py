@@ -2,6 +2,7 @@
 
 import random
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -14,9 +15,12 @@ from mforce import (
     hankel,
     identity,
     make,
+    minimal_forcing,
     parse,
     serialize,
+    split_witness,
 )
+from mforce.bitmatrix import MAX_SIDE
 
 from conftest import bitmatrices, load
 
@@ -55,12 +59,26 @@ class TestConstruction:
     def test_hashable_value_semantics(self):
         assert len({identity(3), identity(3), hankel(3)}) == 2
 
+    @pytest.mark.parametrize("build", [
+        lambda: identity(MAX_SIDE + 1),
+        lambda: hankel(MAX_SIDE + 1),
+        lambda: split_witness(MAX_SIDE + 1, identity(3)),
+        lambda: minimal_forcing(MAX_SIDE + 1, MAX_SIDE + 1, identity(2)),
+    ], ids=["identity", "hankel", "split_witness", "minimal_forcing"])
+    def test_an_oversized_side_is_refused_before_anything_is_built(self, build):
+        # One 65537 x 65537 matrix holds 512 MiB of row bits; the refusal
+        # must come first, with the one side-limit message.
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=rf"within \[1, {MAX_SIDE}\] per side"):
+                build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
 
 class TestCounts:
-    @given(bitmatrices())
-    def test_ones_plus_zeros_is_area(self, mat):
-        assert mat.ones_count() + mat.zeros_count() == mat.rows * mat.cols
-
     @given(bitmatrices())
     def test_iter_ones_matches_get(self, mat):
         listed = set(mat.iter_ones())

@@ -57,6 +57,13 @@ class TestPatternResolution:
         code, out, err = run_cli(capsys, "search", "--n", "4", "--pattern", spec)
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
+    def test_an_oversized_family_name_reports_the_side_limit(self, capsys):
+        # i65537 is refused before its 65537 x 65537 matrix is built, with
+        # the side limit as the reason rather than "not a name or a file".
+        code, out, err = run_cli(capsys, "search", "--n", "4", "--pattern", "i65537")
+        assert (code, out) == (2, "")
+        assert "65536" in err
+
     def test_a_file_named_like_a_perm_word_is_read(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "perm:11").write_text("2 2\n01\n10\n")
@@ -267,9 +274,9 @@ class TestConstruct:
         code, out, _ = run_cli(capsys, "construct", "linear-zero",
                                "--m", "10", "--n", "10", "--pattern", "i2")
         assert code == 0
-        assert parse(out).zeros_count() == 18
+        assert 10 * 10 - parse(out).ones_count() == 18
 
-    def test_extremal_2x2_variants(self, capsys):
+    def test_2x2_variants(self, capsys):
         code, out, _ = run_cli(capsys, "construct", "extremal-2x2", "--n", "4")
         assert code == 0
         assert parse(out) == parse("1110\n1101\n1011\n0111\n")

@@ -17,7 +17,6 @@ from mforce import (
     all_permutation_matrices,
     conjectured_max_identity,
     direct_sum,
-    extremal_2x2,
     hankel,
     identity,
     is_strongly_forcing,
@@ -41,12 +40,12 @@ class TestExactValues:
         out = search_max(3, identity(2))
         assert out.status == "exact"
         assert out.best_ones == 6
-        assert out.witnesses[0] == extremal_2x2(3, "i2")
+        assert out.witnesses[0] == split_witness(3, identity(2))
 
     def test_order_4_i2_unique_extremal(self):
         out = search_max(4, identity(2), SearchConfig(enumerate_all_extremal=True))
         assert out.best_ones == 12
-        assert out.witnesses == (extremal_2x2(4, "i2"),)
+        assert out.witnesses == (split_witness(4, identity(2)),)
 
     def test_order_5_132(self):
         out = search_max(5, named("b3"))
@@ -407,18 +406,18 @@ class TestResultsCache:
         assert [p.name for p in tmp_path.iterdir()] == ["results.json"]
 
     @pytest.mark.parametrize("field, value", [
-        ("witnesses", [serialize(extremal_2x2(4, "h2"))]),  # 12 ones, no I_2 copy
-        ("witnesses", [serialize(direct_sum(extremal_2x2(4, "i2"), make(1, 1, 0)))]),
+        ("witnesses", [serialize(split_witness(4, hankel(2)))]),  # 12 ones, no I_2 copy
+        ("witnesses", [serialize(direct_sum(split_witness(4, identity(2)), make(1, 1, 0)))]),
         ("witnesses", []),
         ("best_ones", 13),
         ("version", CACHE_VERSION - 1),  # written by an older search
         ("version", None),  # None deletes the field
         ("witnesses", None),
         ("witnesses", ["4 4\n1110\n11x1\n1011\n0111\n"]),  # does not parse
-        ("witnesses", serialize(extremal_2x2(4, "i2"))),  # text, not a list of texts
+        ("witnesses", serialize(split_witness(4, identity(2)))),  # text, not a list of texts
         ("nodes_explored", "12"),
-        (None, [serialize(extremal_2x2(4, "i2"))]),  # field None replaces the whole entry
-        ("witnesses", [serialize(extremal_2x2(4, "i2"))] * 2),
+        (None, [serialize(split_witness(4, identity(2)))]),  # field None replaces the whole entry
+        ("witnesses", [serialize(split_witness(4, identity(2)))] * 2),
         # Two forcing 11-one matrices: a plain key holds one witness, not a level set.
         (None, {"version": CACHE_VERSION, "status": "exact", "best_ones": 11, "nodes_explored": 10,
                 "witnesses": ["4 4\n1100\n1011\n0111\n0111\n", "4 4\n1100\n1011\n1011\n0111\n"]}),

@@ -15,10 +15,8 @@ from mforce import (
     apply_symmetry,
     canonical_with_ops,
     conjectured_max_identity,
-    dihedral_class,
     direct_sum,
     extremal_132_witness,
-    extremal_2x2,
     extremal_identity_witness,
     find_witness,
     hankel,
@@ -31,11 +29,10 @@ from mforce import (
     parse,
     permutation_of,
     split_witness,
-    upper_bound_3x3,
     upper_bound_simple,
 )
 from mforce import strong_forcing
-from mforce.strong_forcing import _Completions
+from mforce.strong_forcing import _Completions, symmetry_ops
 
 
 class TestNarrow:
@@ -92,7 +89,7 @@ def compare_with_literal(rng, rounds, max_side, rows):
 
 class TestFindWitness:
     def test_hand_example(self):
-        mat = extremal_2x2(3, "i2")
+        mat = split_witness(3, identity(2))
         got = find_witness(mat, identity(2), (0, 0))
         assert got == WitnessEmbedding((0, 2), (0, 2))
 
@@ -169,8 +166,8 @@ class TestIsStronglyForcing:
     def test_named_constructions(self):
         assert is_strongly_forcing(load_matrix("s5.txt"), identity(3))
         assert is_strongly_forcing(load_matrix("t5.txt"), named("b3"))
-        assert is_strongly_forcing(extremal_2x2(4, "i2"), identity(2))
-        assert is_strongly_forcing(extremal_2x2(4, "h2"), hankel(2))
+        assert is_strongly_forcing(split_witness(4, identity(2)), identity(2))
+        assert is_strongly_forcing(split_witness(4, hankel(2)), hankel(2))
         # Two all-ones blocks on the diagonal: a 1 of one block and a 1 of the
         # other make an I_2, and each 1 lies in a 2 x 2 block of 1s, but an
         # anti-diagonal pair of 1s always shares a block with a third 1.
@@ -427,7 +424,7 @@ class TestCollapse:
 class TestLinearZeroConstruction:
     def test_i2_in_10x10_has_18_zeros(self):
         built = linear_zero_construction(10, 10, identity(2))
-        assert built.zeros_count() == 18
+        assert 10 * 10 - built.ones_count() == 18
         assert is_strongly_forcing(built, identity(2))
 
     def test_exact_dimensions_returns_pattern(self):
@@ -449,8 +446,8 @@ class TestLinearZeroConstruction:
         cc = (pattern.bits[rr] & -pattern.bits[rr]).bit_length() - 1
         z_row = t - pattern.bits[rr].bit_count()
         z_col = sum(1 for row in pattern.bits if not (row >> cc) & 1)
-        want = pattern.zeros_count() + (n - t) * z_col + (m - s) * z_row
-        assert built.zeros_count() == want
+        want = s * t - pattern.ones_count() + (n - t) * z_col + (m - s) * z_row
+        assert m * n - built.ones_count() == want
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
@@ -469,26 +466,20 @@ def literal_2x2(n, variant):
 
 class TestExtremalWitnesses:
     def test_2x2_shapes(self):
-        assert extremal_2x2(2, "i2") == identity(2)
-        assert extremal_2x2(2, "h2") == hankel(2)
-        assert extremal_2x2(4, "i2") == parse("1110\n1101\n1011\n0111\n")
-        assert extremal_2x2(4, "h2") == parse("0111\n1011\n1101\n1110\n")
-        # extremal_2x2 is split_witness's 2x2 case, so it is compared with
-        # a build from the definition, not with split_witness.
+        assert split_witness(2, identity(2)) == identity(2)
+        assert split_witness(2, hankel(2)) == hankel(2)
+        assert split_witness(4, identity(2)) == parse("1110\n1101\n1011\n0111\n")
+        assert split_witness(4, hankel(2)) == parse("0111\n1011\n1101\n1110\n")
+        # split_witness's 2x2 cases are compared with a build from the
+        # definition: the all-ones matrix less one diagonal.
         for n in range(2, 13):
-            for variant in ("i2", "h2"):
-                assert (n, variant, extremal_2x2(n, variant)) == (n, variant, literal_2x2(n, variant))
-
-    def test_2x2_guards(self):
-        with pytest.raises(ValueError):
-            extremal_2x2(1)
-        with pytest.raises(ValueError):
-            extremal_2x2(3, "x2")
+            for variant, q in [("i2", identity(2)), ("h2", hankel(2))]:
+                assert (n, variant, split_witness(n, q)) == (n, variant, literal_2x2(n, variant))
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_2x2_counts_and_strength(self, n):
-        for variant, q in [("i2", identity(2)), ("h2", hankel(2))]:
-            built = extremal_2x2(n, variant)
+        for q in [identity(2), hankel(2)]:
+            built = split_witness(n, q)
             assert built.ones_count() == n * n - n
             assert is_strongly_forcing(built, q)
 
@@ -510,7 +501,7 @@ class TestExtremalWitnesses:
     def test_3x3_witnesses_meet_exact_maximum(self, n):
         s = split_witness(n, identity(3))
         t = extremal_132_witness(n)
-        assert s.ones_count() == t.ones_count() == upper_bound_3x3(n)
+        assert s.ones_count() == t.ones_count() == n * n - 3 * n + 3
         assert is_strongly_forcing(s, identity(3))
         assert is_strongly_forcing(t, named("b3"))
 
@@ -530,17 +521,11 @@ class TestBounds:
         with pytest.raises(ValueError):
             upper_bound_simple(2, 3)
 
-    def test_3x3_bound(self):
-        assert upper_bound_3x3(5) == 13
-        assert upper_bound_3x3(3) == 3
-        with pytest.raises(ValueError):
-            upper_bound_3x3(2)
-
     def test_conjectured_value_specialises_to_known_cases(self):
         for n in range(2, 10):
             assert conjectured_max_identity(n, 2) == n * n - n
         for n in range(3, 10):
-            assert conjectured_max_identity(n, 3) == upper_bound_3x3(n)
+            assert conjectured_max_identity(n, 3) == n * n - 3 * n + 3
 
     def test_conjectured_value_guard(self):
         with pytest.raises(ValueError):
@@ -573,7 +558,7 @@ class TestDirectSumClosure:
     def test_zero_block_can_break_stacking(self):
         # An empty lower block leaves upper-block entries without the
         # lower pattern half, so the stacked matrix is not strongly forcing.
-        a = extremal_2x2(3, "i2")
+        a = split_witness(3, identity(2))
         stacked = direct_sum(a, make(2, 2, 0))
         assert not is_strongly_forcing(stacked, direct_sum(identity(2), identity(1)))
 
@@ -608,14 +593,14 @@ class TestSplitWitness:
     def test_best_split_for_6_4(self):
         built = split_witness(6, identity(4))
         assert built.ones_count() == 14
-        assert built == direct_sum(identity(2), extremal_2x2(4, "i2"))
+        assert built == direct_sum(identity(2), literal_2x2(4, "i2"))
         assert is_strongly_forcing(built, identity(4))
 
     def test_k1_is_the_all_ones_block(self):
         assert split_witness(5, identity(1)) == make(5, 5, 1)
 
     def test_skew_sums_go_through_the_row_reversal(self):
-        assert split_witness(4, hankel(2)) == extremal_2x2(4, "h2")
+        assert split_witness(4, hankel(2)) == literal_2x2(4, "h2")
         assert split_witness(5, named("b3")) == extremal_132_witness(5)
         assert split_witness(5, named("d3")) == extremal_132_witness(5).reflect_h()
 
@@ -636,6 +621,28 @@ class TestSplitWitness:
         with pytest.raises(ValueError):
             split_witness(2, identity(3))
 
+    def test_every_separable_floor_is_the_one_formula(self):
+        # Separable means avoiding 2413 and 3142, tested here on every four
+        # entries; each such k x k permutation's split witness has
+        # conjectured_max_identity(n, k) ones, and any other has none.
+        def separable(perm):
+            return not any(
+                tuple(sorted(sub).index(v) for v in sub) in ((1, 3, 0, 2), (2, 0, 3, 1))
+                for sub in combinations(perm, 4))
+
+        pairs = 0
+        for k in range(2, 7):
+            for p in all_permutation_matrices(k):
+                perm = permutation_of(p)
+                for n in range(k, 13):
+                    built = split_witness(n, p)
+                    if separable(perm):
+                        assert (perm, n, built.ones_count()) == (perm, n, conjectured_max_identity(n, k))
+                        pairs += 1
+                    else:
+                        assert (perm, n, built) == (perm, n, None)
+        assert pairs == 3758
+
     @pytest.mark.parametrize("k", range(1, 6))
     def test_end_point_splits_match_every_split(self, k):
         # The construction compares only the two end orders of each split;
@@ -649,25 +656,35 @@ class TestSplitWitness:
                     assert is_strongly_forcing(got, p)
 
 
+def orbit(pattern):
+    """The pattern's images under every generator sequence of its symmetry group."""
+    return {apply_symmetry(pattern, seq) for seq in symmetry_ops(pattern)}
+
+
 class TestDihedral:
+    def test_eight_images_of_a_square_and_four_of_a_rectangle(self):
+        square = parse("110\n000\n000\n")  # fixed by no symmetry but the identity
+        assert len(symmetry_ops(square)) == len(orbit(square)) == 8
+        rect = parse("110\n000\n")
+        assert len(symmetry_ops(rect)) == len(orbit(rect)) == 4
+
     def test_identity_class_is_the_two_diagonals(self):
-        assert dihedral_class(identity(3)) == frozenset({identity(3), hankel(3)})
+        assert orbit(identity(3)) == {identity(3), hankel(3)}
 
     def test_132_class_has_the_other_four_words(self):
-        got = dihedral_class(named("b3"))
-        assert got == frozenset(named(x) for x in ["b3", "c3", "d3", "e3"])
+        assert orbit(named("b3")) == {named(x) for x in ["b3", "c3", "d3", "e3"]}
 
     def test_rectangles_use_reflections_only(self):
-        got = dihedral_class(parse("10\n"))
-        assert got == frozenset({parse("10\n"), parse("01\n")})
+        got = orbit(parse("10\n"))
+        assert got == {parse("10\n"), parse("01\n")}
         assert all(m.rows == 1 and m.cols == 2 for m in got)
 
     @given(nonzero_patterns())
     def test_canonical_form_is_an_orbit_invariant(self, pattern):
         canon, ops = canonical_with_ops(pattern)
         assert apply_symmetry(pattern, ops) == canon
-        assert canon in dihedral_class(pattern)
-        for member in dihedral_class(pattern):
+        assert canon in orbit(pattern)
+        for member in orbit(pattern):
             assert canonical_with_ops(member)[0] == canon
 
     def test_apply_symmetry_composition(self):
