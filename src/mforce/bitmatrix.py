@@ -235,5 +235,4 @@ def parse(text: str) -> BitMatrix:
 
 
 def serialize(mat: BitMatrix) -> str:
-    body = "\n".join(_row_text(row, mat.cols) for row in mat.bits)
-    return f"{mat.rows} {mat.cols}\n{body}\n"
+    return f"{mat.rows} {mat.cols}\n{mat}\n"

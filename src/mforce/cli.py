@@ -12,16 +12,14 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import sys
 import time
+from dataclasses import astuple, fields
 from pathlib import Path
 
 from . import __version__
-from .bitmatrix import (
-    BitMatrix, MatrixFormatError, check_fit, direct_sum, identity, parse, serialize,
-)
+from .bitmatrix import BitMatrix, check_fit, check_sides, direct_sum, identity, parse, serialize
 from .forcing import (
     core,
     corner_functions,
@@ -42,11 +40,16 @@ from .strong_forcing import (
     search_max,
     split_witness,
 )
-from .verification import FAIL, SUITES, run_suite
+from .verification import FAIL, SUITES, VerifyRow, run_suite
 
 
 class CliError(Exception):
     """Invalid invocation or input; maps to exit code 2."""
+
+
+def _read_matrix(spec: str) -> BitMatrix:
+    # A matrix file path, or '-' for stdin.
+    return parse(sys.stdin.read() if spec == "-" else Path(spec).read_text())
 
 
 def load_pattern(spec: str) -> BitMatrix:
@@ -58,14 +61,11 @@ def load_pattern(spec: str) -> BitMatrix:
         key = spec.lower()
         if (key.startswith("perm:") or _FAMILY.fullmatch(key)) and not Path(spec).exists():
             raise CliError(str(exc)) from None
-    if spec == "-":
-        return parse(sys.stdin.read())
-    path = Path(spec)
-    if not path.exists():
+    if spec != "-" and not Path(spec).exists():
         raise CliError(
             f"pattern {spec!r} is neither a built-in name nor an existing file"
         )
-    return parse(path.read_text())
+    return _read_matrix(spec)
 
 
 def _report(command: str, inputs: dict, outputs: dict, passed: bool, started: float) -> str:
@@ -123,7 +123,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         raise CliError("--witness applies only to check strong")
     if args.ambient == "-" and args.pattern == "-":
         raise CliError("--ambient and --pattern cannot both read stdin ('-')")
-    ambient = parse(Path(args.ambient).read_text()) if args.ambient != "-" else parse(sys.stdin.read())
+    ambient = _read_matrix(args.ambient)
     pattern = load_pattern(args.pattern)
     if args.kind == "forcing":
         verdict = is_forcing(ambient, pattern)
@@ -185,9 +185,11 @@ def cmd_construct(args: argparse.Namespace) -> int:
     elif which == "extremal-2x2":
         matrix = split_witness(need("n"), named(args.variant))
     else:
+        n1, n2 = need("n1"), need("n2")
+        check_sides(n1 + n2, n1 + n2)
         matrix = direct_sum(
-            split_witness(need("n1"), identity(need("k1"))),
-            split_witness(need("n2"), identity(need("k2"))),
+            split_witness(n1, identity(need("k1"))),
+            split_witness(n2, identity(need("k2"))),
         )
     text = serialize(matrix)
     if args.out:
@@ -229,15 +231,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
             failed == 0, started,
         ))
     else:
-        buffer = io.StringIO()
-        writer = csv.writer(buffer)
-        writer.writerow(["theorem_id", "instance", "expected", "actual", "status", "millis"])
-        for row in rows:
-            writer.writerow([
-                row.theorem_id, row.instance, row.expected, row.actual,
-                row.status, row.millis,
-            ])
-        sys.stdout.write(buffer.getvalue())
+        writer = csv.writer(sys.stdout)
+        writer.writerow(field.name for field in fields(VerifyRow))
+        writer.writerows(map(astuple, rows))
     return 0 if failed == 0 else 1
 
 
@@ -312,7 +308,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, MatrixFormatError, EnumerationCapError, ValueError, OSError) as exc:
+    except (CliError, EnumerationCapError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .bitmatrix import BitMatrix, Position, check_fit, check_pattern, check_sides, entrywise_leq, serialize
-from .patterns import hankel, identity, is_permutation_matrix
+from .patterns import hankel, identity, permutation_of
 
 
 # -- corner profiles ---------------------------------------------------------
@@ -203,35 +203,27 @@ def is_forcing(mat: BitMatrix, pattern: BitMatrix) -> bool:
 def minimal_forcing_from_corners(m: int, n: int, pattern: BitMatrix) -> BitMatrix:
     """Assemble the minimum-ones forcing matrix directly from corner data.
 
-    Valid for m >= 2s, n >= 2t: start from all ones, copy each corner set of
-    the pattern into the matching corner block, and zero the border bands
-    matching the pattern's all-zero boundary rows and columns. Equals
+    Valid for m >= 2s, n >= 2t: start from all ones and read the four corner
+    staircases row by row. Row i zeroes its first nw[i] and last ne[i]
+    columns, row m-1-i its first sw[i] and last se[i]; then zero the border
+    bands matching the pattern's all-zero boundary rows and columns. Equals
     minimal_forcing on its whole domain, without touching window unions.
     A tested paper result, not exported from the package.
     """
     check_pattern(m, n, pattern)
-    s, t = pattern.rows, pattern.cols
-    if m < 2 * s or n < 2 * t:
-        raise ValueError(f"corner assembly needs m >= {2 * s} and n >= {2 * t}")
-    report = corner_functions(pattern)
+    _check_doubled(m, n, pattern, "corner assembly")
     borders = core(pattern)
     full = (1 << n) - 1
-    zeros = [0] * m
-    for i, j in report.nw:
-        zeros[i] |= 1 << j
-    for i, j in report.ne:
-        zeros[i] |= 1 << (n - t + j)
-    for i, j in report.sw:
-        zeros[m - s + i] |= 1 << j
-    for i, j in report.se:
-        zeros[m - s + i] |= 1 << (n - t + j)
+    zeros = [((1 << borders.left_zero_cols) - 1) | (full ^ full >> borders.right_zero_cols)] * m
+    nw, ne, sw, se = _corner_widths(pattern)
+    for i in range(pattern.rows):
+        zeros[i] |= ((1 << nw[i]) - 1) | (full ^ full >> ne[i])
+        zeros[m - 1 - i] |= ((1 << sw[i]) - 1) | (full ^ full >> se[i])
     for i in range(borders.top_zero_rows):
         zeros[i] = full
     for i in range(borders.bottom_zero_rows):
         zeros[m - 1 - i] = full
-    side = ((1 << borders.left_zero_cols) - 1)
-    side |= full & ~((1 << (n - borders.right_zero_cols)) - 1)
-    return BitMatrix(m, n, tuple(full & ~(z | side) for z in zeros))
+    return BitMatrix(m, n, tuple(full & ~z for z in zeros))
 
 
 # -- exact minimum counts -----------------------------------------------------
@@ -242,12 +234,17 @@ class MinOnesResult(NamedTuple):
     method: str
 
 
+def _check_doubled(m: int, n: int, pattern: BitMatrix, what: str) -> None:
+    # The corner formulas need the four corner blocks of an m x n ambient disjoint.
+    if m < 2 * pattern.rows or n < 2 * pattern.cols:
+        raise ValueError(f"{what} needs m >= {2 * pattern.rows} and n >= {2 * pattern.cols}")
+
+
 def min_ones_general(m: int, n: int, pattern: BitMatrix) -> int:
     """Closed form for the minimum ones when m >= 2s and n >= 2t."""
     check_pattern(m, n, pattern)
+    _check_doubled(m, n, pattern, "general formula")
     s, t = pattern.rows, pattern.cols
-    if m < 2 * s or n < 2 * t:
-        raise ValueError(f"general formula needs m >= {2 * s} and n >= {2 * t}")
     borders = core(pattern)
     s_core = borders.core.rows
     t_core = borders.core.cols
@@ -258,12 +255,9 @@ def min_ones_general(m: int, n: int, pattern: BitMatrix) -> int:
 def min_ones_boundary(m: int, n: int, pattern: BitMatrix) -> int:
     """General formula specialised to patterns with 1s on all four boundaries."""
     check_pattern(m, n, pattern)
-    borders = core(pattern)
-    if (borders.core.rows, borders.core.cols) != (pattern.rows, pattern.cols):
+    if core(pattern).core != pattern:
         raise ValueError("pattern has an all-zero boundary row or column")
-    s, t = pattern.rows, pattern.cols
-    if m < 2 * s or n < 2 * t:
-        raise ValueError(f"boundary formula needs m >= {2 * s} and n >= {2 * t}")
+    _check_doubled(m, n, pattern, "boundary formula")
     return m * n - sum(map(sum, _corner_widths(pattern)))
 
 
@@ -310,12 +304,6 @@ def min_ones(m: int, n: int, pattern: BitMatrix) -> MinOnesResult:
 # -- permutation patterns ------------------------------------------------------
 
 
-def _perm_order(pattern: BitMatrix) -> int:
-    if not is_permutation_matrix(pattern):
-        raise ValueError("pattern is not a permutation matrix")
-    return pattern.rows
-
-
 def perm_min_bound(n: int, k: int) -> int:
     """Lower bound n^2 - k(k-1) for the forcing minimum of any k x k permutation."""
     if k < 1 or n < 2 * k:
@@ -330,7 +318,7 @@ def perm_min_equality(pattern: BitMatrix) -> bool:
     own transpose, so the anti-diagonal matrix is the only other extremal
     case. Verified exhaustively for small orders in the test suite.
     """
-    k = _perm_order(pattern)
+    k = len(permutation_of(pattern))
     return pattern == identity(k) or pattern == hankel(k)
 
 
@@ -354,7 +342,7 @@ def perm_max_extremal(pattern: BitMatrix) -> bool:
     1-entries: {(1,2), (2,k), (k,k-1), (k-1,1)} or its mirror
     {(2,1), (k,2), (k-1,k), (1,k-1)}, positions 1-based.
     """
-    k = _perm_order(pattern)
+    k = len(permutation_of(pattern))
     if k < 4:
         raise ValueError("the quadruple characterisation applies to k >= 4 only")
     first = ((0, 1), (1, k - 1), (k - 1, k - 2), (k - 2, 0))

@@ -363,6 +363,7 @@ def linear_zero_construction(m: int, n: int, pattern: BitMatrix) -> BitMatrix:
     """
     s, t = pattern.rows, pattern.cols
     check_pattern(m, n, pattern)
+    check_sides(m, n)
     rr = 0
     while pattern.bits[rr] == 0:
         rr += 1
@@ -476,11 +477,10 @@ def conjectured_max_identity(n: int, k: int) -> int:
 # -- dihedral symmetries ----------------------------------------------------------
 
 
-_SQUARE_OPS: tuple[tuple[str, ...], ...] = (
+_OPS: tuple[tuple[str, ...], ...] = (
     (), ("h",), ("v",), ("h", "v"),
     ("t",), ("t", "h"), ("t", "v"), ("t", "h", "v"),
 )
-_RECT_OPS: tuple[tuple[str, ...], ...] = ((), ("h",), ("v",), ("h", "v"))
 
 
 def apply_symmetry(mat: BitMatrix, ops: Iterable[str]) -> BitMatrix:
@@ -498,8 +498,8 @@ def apply_symmetry(mat: BitMatrix, ops: Iterable[str]) -> BitMatrix:
 
 
 def symmetry_ops(mat: BitMatrix) -> tuple[tuple[str, ...], ...]:
-    """Generator sequences of mat's symmetry group: all eight when square, else four."""
-    return _SQUARE_OPS if mat.rows == mat.cols else _RECT_OPS
+    """Generator sequences of mat's symmetries: all eight when square, else the four keeping its shape."""
+    return _OPS if mat.rows == mat.cols else _OPS[:4]
 
 
 def canonical_with_ops(pattern: BitMatrix) -> tuple[BitMatrix, tuple[str, ...]]:

@@ -14,6 +14,7 @@ from mforce import (
     entrywise_leq,
     hankel,
     identity,
+    linear_zero_construction,
     make,
     minimal_forcing,
     parse,
@@ -64,7 +65,10 @@ class TestConstruction:
         lambda: hankel(MAX_SIDE + 1),
         lambda: split_witness(MAX_SIDE + 1, identity(3)),
         lambda: minimal_forcing(MAX_SIDE + 1, MAX_SIDE + 1, identity(2)),
-    ], ids=["identity", "hankel", "split_witness", "minimal_forcing"])
+        lambda: linear_zero_construction(10**7, 2, identity(2)),
+        lambda: linear_zero_construction(2, 10**8, identity(2)),
+    ], ids=["identity", "hankel", "split_witness", "minimal_forcing",
+            "linear_zero_rows", "linear_zero_cols"])
     def test_an_oversized_side_is_refused_before_anything_is_built(self, build):
         # One 65537 x 65537 matrix holds 512 MiB of row bits; the refusal
         # must come first, with the one side-limit message.

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import tracemalloc
 
 import pytest
 
@@ -291,6 +292,19 @@ class TestConstruct:
         assert code == 0
         assert out == PINNED_CONSTRUCTS["block --n1 3 --k1 1 --n2 4 --k2 2"]
 
+    def test_an_oversized_block_sum_is_refused_before_anything_is_built(self, capsys):
+        # Each part is within the side limit; their 65600-side sum is not.
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(capsys, "construct", "block",
+                                     "--n1", "65000", "--k1", "1", "--n2", "600", "--k2", "1")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (2, "")
+        assert "65536" in err
+        assert peak < 1 << 20
+
     def test_missing_argument_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "construct", "s-nk", "--n", "7")
         assert code == 2
@@ -383,9 +397,11 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", "--suite", "perm-bounds",
                                "--k-max", "4")
         assert code == 0
+        # csv.reader accepts any line terminator, so the raw text pins \r\n.
+        lines = out.splitlines(keepends=True)
+        assert lines[0] == "theorem_id,instance,expected,actual,status,millis\r\n"
+        assert all(line.endswith("\r\n") for line in lines)
         rows = list(csv.reader(io.StringIO(out)))
-        assert rows[0] == ["theorem_id", "instance", "expected", "actual",
-                           "status", "millis"]
         assert len(rows) > 1
         assert all(row[4] == "pass" for row in rows[1:])
         assert all(row[5].isdigit() for row in rows[1:])

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_corner_sets, brute_is_forcing, load_matrix, nonzero_patterns
+from conftest import all_nonzero_patterns, brute_corner_sets, brute_is_forcing, load_matrix, nonzero_patterns
 from mforce import (
     BitMatrix,
     all_permutation_matrices,
@@ -202,14 +202,15 @@ class TestMinimalForcing:
 
 
 class TestCornerAssembly:
-    @given(nonzero_patterns(), st.integers(0, 3), st.integers(0, 3))
-    @settings(max_examples=80)
-    def test_matches_window_union_on_its_domain(self, pattern, dm, dn):
-        m = 2 * pattern.rows + dm
-        n = 2 * pattern.cols + dn
-        assert minimal_forcing_from_corners(m, n, pattern) == minimal_forcing(
-            m, n, pattern
-        )
+    def test_matches_window_union_on_its_domain(self):
+        # Every nonzero pattern up to 3x3 at every margin 0..3 past 2s x 2t.
+        for pattern in all_nonzero_patterns():
+            for dm in range(4):
+                for dn in range(4):
+                    m = 2 * pattern.rows + dm
+                    n = 2 * pattern.cols + dn
+                    got = minimal_forcing_from_corners(m, n, pattern)
+                    assert got == minimal_forcing(m, n, pattern), (pattern, m, n)
 
     def test_domain_guard(self):
         with pytest.raises(ValueError):
