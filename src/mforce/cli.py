@@ -89,9 +89,9 @@ def cmd_min(args: argparse.Namespace) -> int:
         lines.append(f"count {result.value}")
         lines.append(f"method {result.method}")
     if args.emit in ("matrix", "both"):
-        matrix = minimal_forcing(args.m, args.n, pattern)
-        outputs["matrix"] = serialize(matrix)
-        lines.append(serialize(matrix).rstrip("\n"))
+        text = serialize(minimal_forcing(args.m, args.n, pattern))
+        outputs["matrix"] = text
+        lines.append(text.rstrip("\n"))
     if args.explain:
         corners = corner_functions(pattern)
         borders = core(pattern)

@@ -28,8 +28,12 @@ ends in it, so the parent lists, for each entry whose copies grew too short
 and for each column of the new row, the partial copies ending in that row,
 each as its rows and the column masks its other rows leave, and a child passes
 when the pass accepts its row for one copy of each list. A witness search
-skips, on one bit, every row that disagrees with the pattern at the anchor's
-column before it tries the row's columns. When the pattern equals its
+runs through a set of columns of one row: the prefix test's through one,
+find_witness's through every 1 of a row, in one walk that settles each
+column at its first copy in the fixed witness order (first anchor, least
+rows, least columns), as a walk of its own would. It skips every row that
+disagrees with the pattern at the anchor's column on all of the set's
+columns before it tries the row's columns. When the pattern equals its
 transpose, so does the transpose of a strongly forcing matrix, and one matrix
 of each pair M != M^T is searched: entries M[i][b] and M[b][i], b < i, are
 compared in (i, b) order, and at the first pair that differs a row with its 1
@@ -102,46 +106,65 @@ def _narrow(masks: list[int], ones: int, zeros: int, qrow: int) -> tuple[list[in
 
 
 def _witness_through(abits, m: int, n: int, qbits, t: int, q_ones, p_min: int,
-                     r: int, c: int, tails: list | None = None):
-    """Exact copy of a pattern prefix through 1-entry (r, c), or None.
+                     r: int, cs: int, tails: list | None = None) -> dict | list:
+    """Exact copies of a pattern prefix through the 1-entries (r, c), c in cs:
+    {c: (rows_sel, cols_sel)} for every c that has one.
 
-    Tries every pattern 1-coordinate (y, x) as the anchor for (r, c) in
-    row-major order. An anchor in pattern row y asks for a copy of the first
+    Tries every pattern 1-coordinate (y, x) as the anchor in row-major order.
+    An anchor in pattern row y asks for a copy of the first
     s = max(p_min, y + 1) pattern rows; with p_min the pattern's height that
     is the whole pattern. The remaining prefix rows go to matrix rows in
     ascending order. Every row, the anchor's first, goes through _narrow,
     which narrows each pattern column's mask of matrix columns consistent
-    with the rows chosen so far; the anchor's row starts from masks that are
-    full but for column x, pinned to c. So a row whose bit at c differs from
-    pattern row i's bit at x can never match and is skipped on that one bit.
-    Only the masks are carried down, and the last row's pass gives the
-    copy's columns: the least increasing column selection. One recursive
-    function per anchor, assign, walks the rows; it takes the anchor's
-    constants as default arguments.
+    with the rows chosen so far. The anchor's row starts from full masks but
+    for column x's lane: the columns of cs not yet settled where x fits. So a
+    row that disagrees with pattern row i's bit at x on every column of the
+    lane can never match and is skipped before the pass. Only the masks are
+    carried down. At a complete row selection every column c of the lane
+    above the least column choice for x - 1 is settled when the suffix pass
+    _narrow([1 << c, *masks[x + 1:]]) succeeds: the least columns through c
+    are the greedy's first x and that pass's. A suffix that fails for c fails
+    for every later column too. One recursive function per anchor, assign,
+    walks the rows; it takes the anchor's constants as default arguments.
 
-    With tails, a list, the walk collects instead of returning: it appends
-    (rows_sel, masks) for every partial copy whose last row is row m, one
-    past the given rows, whose bits are still open: the copy's rows, ending
-    in m, and the column masks its other rows leave, which come from rows
-    0..m-1 as above. The anchor either lies among them (r < m, y below the
-    copy's last row) or is row m itself (r == m, y the copy's last row,
-    which pins column x to c and nothing else). A row m completes the copy
-    when _narrow accepts it against the copy's last pattern row.
+    The order is that of one entry's search, literal_witness's. Each anchor
+    visits its row selections in lexicographic order, and a subtree is cut
+    only when no column can complete a copy in it (_narrow fails) or its
+    lane holds no pending column. So each c is settled at the first anchor,
+    and within it the first row selection, that has a copy through (r, c),
+    with its least columns, exactly as if it were searched alone.
+
+    With tails, a list, cs holds one column c and the walk collects instead
+    of settling: it appends (rows_sel, masks) for every partial copy whose
+    last row is row m, one past the given rows, whose bits are still open:
+    the copy's rows, ending in m, and the column masks its other rows leave,
+    which come from rows 0..m-1 as above. The anchor either lies among them
+    (r < m, y below the copy's last row) or is row m itself (r == m, y the
+    copy's last row, which pins column x to c and nothing else). A row m
+    completes the copy when _narrow accepts it against the copy's last
+    pattern row. It returns tails then.
     """
     full = (1 << n) - 1
     tail = tails is not None
     # Rows a copy may use: with tails, row m too, as the copy's last row.
     mm = m + tail
     ones_r, zeros_r = (abits[r], ~abits[r]) if r < m else (full, full)
+    # The settled columns' copies, or with tails the partial copies.
+    out = tails if tail else {}
+    pending = cs
     for y, x in q_ones:
         s = max(p_min, y + 1)
         last = s - tail  # pattern rows 0..last-1 lie in rows 0..m-1
         if tail and (r == m) != (y == last):
             continue
-        if r < y or mm - 1 - r < s - 1 - y or c < x or n - 1 - c < t - 1 - x:
+        if r < y or mm - 1 - r < s - 1 - y:
+            continue
+        # Column x needs x columns to its left and t - 1 - x to its right.
+        lane = pending >> x << x & full >> (t - 1 - x)
+        if not lane:
             continue
         masks = [full] * t
-        masks[x] = 1 << c
+        masks[x] = lane
         got = _narrow(masks, ones_r, zeros_r, qbits[y])
         if got is None:
             continue
@@ -149,40 +172,67 @@ def _witness_through(abits, m: int, n: int, qbits, t: int, q_ones, p_min: int,
         rows_sel[y] = r
 
         # With the anchor's constants as defaults, assign closes over itself
-        # alone (one cell, not thirteen) and reads them as fast locals. It
-        # stays nested: a module-level or loop form leaves no cycle, and in a
-        # process that imports the package afresh each round (perfbench)
-        # this small cycle's garbage is what sets off the full collections
-        # that free the old copies.
+        # alone (one cell) and reads them as fast locals. It stays nested: a
+        # module-level or loop form leaves no cycle, and in a process that
+        # imports the package afresh each round (perfbench) this small
+        # cycle's garbage, one per anchor of a walk, so one per anchor of a
+        # row for find_witness and not one per entry, is what sets off the
+        # full collections that free the old copies.
         def assign(i: int, prev: int, masks: list[int], cols: list[int], abits=abits,
-                   qbits=qbits, x=x, y=y, r=r, c=c, s=s, last=last, mm=mm, tails=tails,
-                   rows_sel=rows_sel):
+                   qbits=qbits, x=x, y=y, r=r, s=s, last=last, mm=mm, tail=tail,
+                   out=out, rows_sel=rows_sel) -> int:
+            # The columns the walk below settled, each at the first complete
+            # row selection it reached: at least the pass's own column there.
             if i == last:
-                if tails is not None:
-                    tails.append((tuple(rows_sel), masks))
-                    return None
-                return cols
+                if tail:
+                    out.append((tuple(rows_sel), masks))
+                    return 0
+                # The lane holds pending columns only. The pass's column for
+                # x, the lane's least above the one for x - 1, has cols as its
+                # least columns; each later one of the lane takes a suffix pass.
+                rows, c = tuple(rows_sel), cols[x]
+                out[c] = rows, tuple(cols)
+                settled = 1 << c
+                lane = masks[x] >> c + 1 << c + 1
+                while lane:
+                    low = lane & -lane
+                    lane ^= low
+                    got = _narrow([low, *masks[x + 1:]], -1, -1, 0)
+                    if got is None:
+                        break
+                    out[low.bit_length() - 1] = rows, tuple(cols[:x] + got[1])
+                    settled |= low
+                return settled
             if i == y:
                 return assign(i + 1, r, masks, cols)
             hi = r - (y - i) if i < y else mm - (s - i)
             qrow_i = qbits[i]
-            anchor_bit = (qrow_i >> x) & 1
+            one = qrow_i >> x & 1
+            lane, settled = masks[x], 0
+            # A row whose bits on the lane are all `miss` disagrees with
+            # pattern row i's bit at x on every column of it.
+            miss = 0 if one else lane
             for rr in range(prev + 1, hi + 1):
                 arow = abits[rr]
-                if (arow >> c) & 1 != anchor_bit:
+                if arow & lane == miss:
                     continue
                 got = _narrow(masks, arow, ~arow, qrow_i)
                 if got is not None:
                     rows_sel[i] = rr
-                    cols = assign(i + 1, rr, *got)
-                    if cols is not None:
-                        return cols
-            return None
+                    if done := assign(i + 1, rr, *got):
+                        # Settled columns, all of the lane, leave it for the
+                        # rows after.
+                        settled |= done
+                        lane = masks[x] = lane ^ done
+                        if not lane:
+                            break
+                        miss = 0 if one else lane
+            return settled
 
-        cols = assign(0, -1, *got)
-        if cols is not None:
-            return tuple(rows_sel), tuple(cols)
-    return None
+        pending ^= assign(0, -1, *got)
+        if not pending:
+            break
+    return out
 
 
 @lru_cache
@@ -191,19 +241,29 @@ def _pattern_ones(pattern: BitMatrix) -> tuple[tuple[int, int], ...]:
     return tuple(pattern.iter_ones())
 
 
+@lru_cache(maxsize=1)
+def _row_witnesses(mat: BitMatrix, pattern: BitMatrix, r: int) -> dict:
+    """{c: (rows_sel, cols_sel)} for every 1 of row r that has a copy, one walk for the row."""
+    return _witness_through(mat.bits, mat.rows, mat.cols, pattern.bits, pattern.cols,
+                            _pattern_ones(pattern), pattern.rows, r, mat.bits[r])
+
+
 def find_witness(mat: BitMatrix, pattern: BitMatrix, pos: Position | tuple[int, int]) -> WitnessEmbedding | None:
-    """Deterministic witness for one 1-entry, or None when no exact copy contains it."""
+    """Deterministic witness for one 1-entry, or None when no exact copy contains it.
+
+    The witness is the first pattern 1, in row-major order, that admits a
+    copy through the entry, then the least rows, then the least columns. One
+    walk finds those of every 1 of the entry's row, and the last row asked
+    is kept, so asking for the 1s of a row in turn costs one walk. A lone
+    query on a wide row pays for the whole row: on the widest row (59 ones)
+    of the 64 x 64 I_6 witness, about seven walks for the entry alone.
+    """
     r, c = pos
     check_fit(mat.rows, mat.cols, pattern)
     if mat.get(r, c) != 1:
         raise ValueError(f"position ({r + 1}, {c + 1}) is not a 1-entry")
-    got = _witness_through(
-        mat.bits, mat.rows, mat.cols, pattern.bits, pattern.cols,
-        _pattern_ones(pattern), pattern.rows, r, c,
-    )
-    if got is None:
-        return None
-    return WitnessEmbedding(*got)
+    got = _row_witnesses(mat, pattern, r).get(c)
+    return None if got is None else WitnessEmbedding(*got)
 
 
 def _collapse(mat: BitMatrix, s: int, t: int) -> BitMatrix:
@@ -282,10 +342,8 @@ class _Completions:
         self.by_column: dict[int, list] = {}
 
     def _tails(self, anchors, r: int, c: int) -> list[tuple[tuple[int, ...], list[int]]]:
-        tails: list = []
-        _witness_through(self.rows, self.i, self.n, self.qbits, self.t, anchors,
-                         self.p_min, r, c, tails)
-        return tails
+        return _witness_through(self.rows, self.i, self.n, self.qbits, self.t, anchors,
+                                self.p_min, r, 1 << c, [])
 
     def _mark(self, levels: list[int], rows_sel, cols_sel) -> None:
         # The copy's 1-entries join every level from p_min to its length.
@@ -308,7 +366,7 @@ class _Completions:
                 continue
             r, c = divmod(low.bit_length() - 1, n)
             got = _witness_through(self.rows, self.i, n, self.qbits, self.t, self.q_ones,
-                                   p_min, r, c)
+                                   p_min, r, 1 << c).get(c)
             if got is None:
                 return r, c
             self._mark(levels, *got)

@@ -144,22 +144,91 @@ class TestFindWitness:
         found, missing = compare_with_literal(rng, rounds, 7, rows)
         assert found > floor and missing > floor
 
-    def test_pinned_witnesses_at_scale(self):
+    @pytest.mark.parametrize("build, q, name", [
+        pytest.param(lambda: extremal_identity_witness(24, 5), lambda: identity(5),
+                     "witnesses_s-nk_24_5.txt", id="s-nk-24-5"),
+        pytest.param(lambda: extremal_identity_witness(32, 4), lambda: identity(4),
+                     "witnesses_s-nk_32_4.txt", id="s-nk-32-4"),
+        pytest.param(lambda: linear_zero_construction(20, 20, load_matrix("q3.txt")),
+                     lambda: load_matrix("q3.txt"), "witnesses_linear-zero_20_q3.txt",
+                     id="linear-zero-20-q3"),
+    ])
+    def test_pinned_witnesses_at_scale(self, build, q, name):
         # The pinned text of `construct s-nk --n 24 --k 5 | check strong
-        # --ambient - --pattern i5 --witness`.
-        mat = extremal_identity_witness(24, 5)
-        q = identity(5)
+        # --ambient - --pattern i5 --witness`, of s-nk --n 32 --k 4 against
+        # i4, and of linear-zero --m 20 --n 20 against tests/data/q3.txt.
+        mat, q = build(), q()
         lines = ["yes" if is_strongly_forcing(mat, q) else "no"]
         for pos in mat.iter_ones():
             emb = find_witness(mat, q, pos).to_json_dict()
             rows = ",".join(map(str, emb["rows"]))
             cols = ",".join(map(str, emb["cols"]))
             lines.append(f"({pos.row + 1},{pos.col + 1}) rows [{rows}] cols [{cols}]")
-        assert lines == load("witnesses_s-nk_24_5.txt").splitlines()
+        assert lines == load(name).splitlines()
+
+    def test_shuffled_queries_over_two_matrices_and_two_patterns(self):
+        # find_witness reads each row's witnesses from one walk, kept for the
+        # last (matrix, pattern, row) asked. b shares row 0 with a but not
+        # all of its witnesses there, and a2 equals a as another object. The
+        # queries go row by row, each row's 1s for one pattern and matrix
+        # after another, then in shuffled order.
+        rng = random.Random(34)
+        a = BitMatrix(7, 7, tuple(rng.getrandbits(7) | rng.getrandbits(7) for _ in range(7)))
+        b = BitMatrix(7, 7, a.bits[:1] + (a.bits[1] ^ 0b1111111,) + a.bits[2:])
+        a2 = BitMatrix(7, 7, tuple(list(a.bits)))
+        patterns = (identity(3), parse("110\n011"))
+        by_row = [(mat, q, pos) for r in range(7) for q in patterns for mat in (a, a2, b)
+                  for pos in mat.iter_ones() if pos.row == r]
+        shuffled = rng.sample(by_row, len(by_row))
+        got = {}
+        for mat, q, pos in by_row + shuffled:
+            want = literal_witness(mat, q, *pos)
+            assert find_witness(mat, q, pos) == want, (mat, q, pos)
+            got[id(mat), q, pos] = want
+        assert a2 is not a and a2 == a
+        assert any(got[id(a), q, pos] != got[id(b), q, pos]
+                   for q in patterns for pos in a.iter_ones() if pos.row == 0)
+        assert None in got.values() and len(set(got.values())) > 15
 
     def test_json_positions_are_one_based(self):
         emb = WitnessEmbedding((0, 2), (1, 3))
         assert emb.to_json_dict() == {"rows": [1, 3], "cols": [2, 4]}
+
+
+class TestRowWalk:
+    # One _witness_through walk settles every column of a set: at each
+    # complete row selection it reaches, each pending column that fits.
+    # Each column must come out as from a walk of its own, and as
+    # literal_witness gives it, copies missing included.
+    @pytest.mark.parametrize("seed, lo, hi, rounds", [
+        pytest.param(31, 0.3, 0.7, 150, id="mixed"),
+        pytest.param(32, 0.8, 1.0, 100, id="dense"),
+        pytest.param(33, 0.05, 0.25, 300, id="sparse"),
+    ])
+    def test_a_row_walk_equals_one_walk_per_column_and_the_literal_search(self, seed, lo, hi,
+                                                                         rounds):
+        rng = random.Random(seed)
+        found = missing = 0
+        for _ in range(rounds):
+            s, t = rng.randint(1, 3), rng.randint(1, 3)
+            pattern = BitMatrix(s, t, tuple(rng.getrandbits(t) for _ in range(s)))
+            m, n = rng.randint(max(s, 4), 10), rng.randint(max(t, 4), 10)
+            density = rng.uniform(lo, hi)
+            mat = BitMatrix(m, n, tuple(sum(1 << j for j in range(n) if rng.random() < density)
+                                        for _ in range(m)))
+            args = (mat.bits, m, n, pattern.bits, t, tuple(pattern.iter_ones()), s)
+            for r, row in enumerate(mat.bits):
+                walk = strong_forcing._witness_through(*args, r, row)
+                assert set(walk) <= {c for c in range(n) if row >> c & 1}
+                for c in range(n):
+                    if row >> c & 1:
+                        alone = strong_forcing._witness_through(*args, r, 1 << c)
+                        want = literal_witness(mat, pattern, r, c)
+                        want = want and (want.row_sel, want.col_sel)
+                        assert walk.get(c) == alone.get(c) == want, (mat, pattern, r, c)
+                        found += want is not None
+                        missing += want is None
+        assert found > 800 and missing > 800, (found, missing)
 
 
 class TestIsStronglyForcing:
