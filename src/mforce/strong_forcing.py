@@ -5,9 +5,8 @@ submatrix of A that equals Q exactly. is_strongly_forcing first keeps at
 most s rows of each run of equal rows and t columns of each run of equal
 columns, for an s x t pattern: a copy uses no more of a run than that, and
 the lines of a run are interchangeable in it, so the verdict is unchanged.
-It then runs the search's prefix test after the last row, described below.
-When the pattern and the collapsed matrix both equal their transposes, the
-transpose of each copy it finds is a copy too, and is marked with it.
+It then walks each row of the collapsed matrix once, the walk find_witness
+reads its witnesses from, and passes when every 1 of every row is settled.
 
 Where plain forcing asks for minimum ones, the natural extremal question
 here is the maximum: search_max computes max ones over strongly forcing
@@ -22,28 +21,28 @@ and one greedy column pass, _narrow, every row it tries: after row i, the
 prefix test asks that every 1 in rows 0..i lie in a copy of the pattern's
 first p rows inside rows 0..i, for some p >= s - (n-1-i), since the rows of a
 real copy at or above row i are such a prefix; after the last row that is
-strong forcing itself. Its coverage is carried down per prefix length, and the
-test is made once per parent, not per child: a copy that uses the child's row
-ends in it, so the parent lists, for each entry whose copies grew too short
-and for each column of the new row, the partial copies ending in that row,
-each as its rows and the column masks its other rows leave, and a child passes
-when the pass accepts its row for one copy of each list. A witness search
-runs through a set of columns of one row: the prefix test's through one,
-find_witness's through every 1 of a row, in one walk that settles each
-column at its first copy in the fixed witness order (first anchor, least
-rows, least columns), as a walk of its own would. It skips every row that
-disagrees with the pattern at the anchor's column on all of the set's
-columns before it tries the row's columns. When the pattern equals its
-transpose, so does the transpose of a strongly forcing matrix, and one matrix
-of each pair M != M^T is searched: entries M[i][b] and M[b][i], b < i, are
-compared in (i, b) order, and at the first pair that differs a row with its 1
-below the diagonal is skipped, its transpose being kept; a row that settles
-the comparison turns the test off below it. A level set gets each kept
-matrix's transpose back. The search starts from a construction floor. For a
-separable permutation that is split_witness, one memoised recursion that
-builds each (permutation, order) witness once: direct sums of the parts'
-witnesses, skew sums through a row reversal. Every named permutation witness
-comes out of it.
+strong forcing itself. Its coverage is carried down per prefix length, and
+the test is made once per parent, not per child: a copy that uses the child's
+row ends in it, so the parent lists, for each entry whose copies grew too
+short and for each column of the new row, the partial copies ending in that
+row, each as its rows and the column masks its other rows leave, and a child
+passes when the pass accepts its row for one copy of each list. A witness
+search runs through a set of columns of one row: the prefix test's through
+one, find_witness's and is_strongly_forcing's through every 1 of a row, in
+one walk that settles each column at its first copy in the fixed witness
+order (first anchor, least rows, least columns), as a walk of its own would.
+It skips every row that disagrees with the pattern at the anchor's column on
+all of the set's columns before it tries the row's columns. When the pattern
+equals its transpose, so does the transpose of a strongly forcing matrix, and
+one matrix of each pair M != M^T is searched: entries M[i][b] and M[b][i],
+b < i, are compared in (i, b) order, and at the first pair that differs a row
+with its 1 below the diagonal is skipped, its transpose being kept; a row
+that settles the comparison turns the test off below it. A level set gets
+each kept matrix's transpose back. The search starts from a construction
+floor. For a separable permutation that is split_witness, one memoised
+recursion that builds each (permutation, order) witness once: direct sums of
+the parts' witnesses, skew sums through a row reversal. Every named
+permutation witness comes out of it.
 """
 
 from __future__ import annotations
@@ -109,6 +108,10 @@ def _witness_through(abits, m: int, n: int, qbits, t: int, q_ones, p_min: int,
                      r: int, cs: int, tails: list | None = None) -> dict | list:
     """Exact copies of a pattern prefix through the 1-entries (r, c), c in cs:
     {c: (rows_sel, cols_sel)} for every c that has one.
+
+    find_witness's and is_strongly_forcing's walk (_row_witnesses) passes
+    every 1 of row r as cs and the whole pattern; the search's prefix test
+    (_Completions) passes one column, or collects tails.
 
     Tries every pattern 1-coordinate (y, x) as the anchor in row-major order.
     An anchor in pattern row y asks for a copy of the first
@@ -241,11 +244,14 @@ def _pattern_ones(pattern: BitMatrix) -> tuple[tuple[int, int], ...]:
     return tuple(pattern.iter_ones())
 
 
-@lru_cache(maxsize=1)
 def _row_witnesses(mat: BitMatrix, pattern: BitMatrix, r: int) -> dict:
     """{c: (rows_sel, cols_sel)} for every 1 of row r that has a copy, one walk for the row."""
     return _witness_through(mat.bits, mat.rows, mat.cols, pattern.bits, pattern.cols,
                             _pattern_ones(pattern), pattern.rows, r, mat.bits[r])
+
+
+# find_witness's memo: the last row asked.
+_last_row_witnesses = lru_cache(maxsize=1)(_row_witnesses)
 
 
 def find_witness(mat: BitMatrix, pattern: BitMatrix, pos: Position | tuple[int, int]) -> WitnessEmbedding | None:
@@ -262,7 +268,7 @@ def find_witness(mat: BitMatrix, pattern: BitMatrix, pos: Position | tuple[int, 
     check_fit(mat.rows, mat.cols, pattern)
     if mat.get(r, c) != 1:
         raise ValueError(f"position ({r + 1}, {c + 1}) is not a 1-entry")
-    got = _row_witnesses(mat, pattern, r).get(c)
+    got = _last_row_witnesses(mat, pattern, r).get(c)
     return None if got is None else WitnessEmbedding(*got)
 
 
@@ -286,20 +292,16 @@ def _collapse(mat: BitMatrix, s: int, t: int) -> BitMatrix:
 def is_strongly_forcing(mat: BitMatrix, pattern: BitMatrix) -> bool:
     """True when every 1-entry of mat lies in a submatrix equal to the pattern.
 
-    An all-zero matrix passes vacuously, whatever the pattern. The check is
-    the search's prefix test after the last row: _Completions' walk over
-    mat with its runs of equal lines collapsed (_collapse), all its rows
-    fixed and whole-pattern copies asked for. It makes one witness search
-    per 1 that no copy found so far covers. When the pattern and the
-    collapsed matrix both equal their transposes, each copy found also
-    covers the 1s of its transpose: a copy of Q^T = Q in M^T = M.
+    An all-zero matrix passes vacuously, whatever the pattern. The check
+    collapses mat's runs of equal lines (_collapse), then walks each row of
+    what is left once, as find_witness does: the walk settles a 1 exactly
+    when some copy passes through it, so mat passes when every 1 of every
+    row is settled. The first row with a 1 left over ends the check.
     """
     check_fit(mat.rows, mat.cols, pattern)
     mat = _collapse(mat, pattern.rows, pattern.cols)
-    s = pattern.rows
-    mirror = pattern == pattern.transpose() and mat == mat.transpose()
-    return _Completions(mat.bits, mat.rows, mat.cols, pattern.bits, pattern.cols,
-                        _pattern_ones(pattern), s, (0,) * (s + 1))._next_stale(mirror) is None
+    return all(len(_row_witnesses(mat, pattern, r)) == row.bit_count()
+               for r, row in enumerate(mat.bits))
 
 
 class _Completions:
@@ -325,8 +327,7 @@ class _Completions:
       and row i can extend any shorter copy by one row;
     - a column c of row i: the copies ending in row i through (i, c),
       anchored at any pattern row y >= p_min - 1, longest first.
-    With every row fixed (i = m) and p_min the pattern's height, the walk
-    of _next_stale alone is the strong forcing test, is_strongly_forcing.
+    The search alone uses it; is_strongly_forcing reads _row_witnesses.
     """
 
     def __init__(self, rows, i: int, n: int, qbits, t: int, q_ones, p_min: int,
@@ -354,10 +355,9 @@ class _Completions:
         for p in range(self.p_min, len(rows_sel) + 1):
             levels[p] |= cells
 
-    def _next_stale(self, mirror: bool = False) -> tuple[int, int] | None:
+    def _next_stale(self) -> tuple[int, int] | None:
         # Settles stale entries in order and returns the first with no copy
-        # inside rows 0..i-1, or None when none is left. With mirror, each
-        # copy's transpose is marked too (see is_strongly_forcing).
+        # inside rows 0..i-1, or None when none is left.
         levels, n, p_min = self.levels, self.n, self.p_min
         while self.todo:
             low = self.todo & -self.todo
@@ -370,8 +370,6 @@ class _Completions:
             if got is None:
                 return r, c
             self._mark(levels, *got)
-            if mirror:
-                self._mark(levels, got[1], got[0])
         return None
 
     def child_cov(self, row: int) -> tuple[int, ...] | None:

@@ -344,3 +344,17 @@ class TestNonMonotonicity:
             tuple(1 << first[1] if i == first[0] else 0 for i in range(pattern.rows)),
         )
         assert min_ones(m, n, sub).value <= min_ones(m, n, pattern).value
+
+    def test_growing_the_ambient_never_lowers_the_minimum(self):
+        # For a fixed pattern the minimum does not decrease from m x n to
+        # (m+1) x n or to m x (n+1): every nonzero pattern up to 3x3, every
+        # ambient up to 8x8 (25,495 cells).
+        cells = 0
+        for pattern in all_nonzero_patterns(3):
+            value = {(m, n): min_ones(m, n, pattern).value
+                     for m in range(pattern.rows, 9) for n in range(pattern.cols, 9)}
+            cells += len(value)
+            for (m, n), v in value.items():
+                for bigger in ((m + 1, n), (m, n + 1)):
+                    assert value.get(bigger, v) >= v, (pattern, m, n, bigger)
+        assert cells == 25495
