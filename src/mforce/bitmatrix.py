@@ -14,7 +14,9 @@ through the same row text.
 
 Indexing is 0-based everywhere in this package. Anything user-facing
 (CLI output, error messages, JSON reports) converts to 1-based at the edge.
-Instances are frozen and hashable, hence safe to share across threads.
+Instances are frozen, hence safe to share across threads, and hashable: the
+hash is computed on first use and kept, so a dict or lru_cache key reads its
+bits once and construction costs nothing more.
 """
 
 from __future__ import annotations
@@ -41,6 +43,8 @@ class BitMatrix:
     rows: int
     cols: int
     bits: tuple[int, ...]
+    # Not a field: the hash, stored on the instance by the first __hash__.
+    _hash = None
 
     def __post_init__(self) -> None:
         check_sides(self.rows, self.cols)
@@ -50,6 +54,13 @@ class BitMatrix:
         if min(self.bits) < 0 or max(self.bits) >= limit:
             i = next(i for i, row in enumerate(self.bits) if not 0 <= row < limit)
             raise ValueError(f"row {i + 1} has bits outside the declared {self.cols} columns")
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = hash((self.rows, self.cols, self.bits))
+            object.__setattr__(self, "_hash", h)
+        return h
 
     # -- entry access ----------------------------------------------------
 

@@ -5,8 +5,10 @@ submatrix of A that equals Q exactly. is_strongly_forcing first keeps at
 most s rows of each run of equal rows and t columns of each run of equal
 columns, for an s x t pattern: a copy uses no more of a run than that, and
 the lines of a run are interchangeable in it, so the verdict is unchanged.
-It then walks each row of the collapsed matrix once, the walk find_witness
-reads its witnesses from, and passes when every 1 of every row is settled.
+It then walks the rows of the collapsed matrix with find_witness's walk, but
+each only over its 1s that no copy found so far covers: every 1 of a copy is
+in a copy, so the copies a walk returns settle their 1s in later rows too.
+It passes when every walk settles all of its 1s.
 
 Where plain forcing asks for minimum ones, the natural extremal question
 here is the maximum: search_max computes max ones over strongly forcing
@@ -28,11 +30,12 @@ short and for each column of the new row, the partial copies ending in that
 row, each as its rows and the column masks its other rows leave, and a child
 passes when the pass accepts its row for one copy of each list. A witness
 search runs through a set of columns of one row: the prefix test's through
-one, find_witness's and is_strongly_forcing's through every 1 of a row, in
-one walk that settles each column at its first copy in the fixed witness
-order (first anchor, least rows, least columns), as a walk of its own would.
-It skips every row that disagrees with the pattern at the anchor's column on
-all of the set's columns before it tries the row's columns. When the pattern
+one, find_witness's through every 1 of a row, is_strongly_forcing's through
+the row's 1s that no copy covers yet, in one walk that settles each column
+at its first copy in the fixed witness order (first anchor, least rows,
+least columns), as a walk of its own would. It skips every row that
+disagrees with the pattern at the anchor's column on all of the set's
+columns before it tries the row's columns. When the pattern
 equals its transpose, so does the transpose of a strongly forcing matrix, and
 one matrix of each pair M != M^T is searched: entries M[i][b] and M[b][i],
 b < i, are compared in (i, b) order, and at the first pair that differs a row
@@ -69,7 +72,7 @@ STATUS_BUDGET = "budget_exhausted"
 # -- witness embeddings -------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WitnessEmbedding:
     """Row and column selections carving an exact pattern copy out of a matrix."""
 
@@ -109,9 +112,10 @@ def _witness_through(abits, m: int, n: int, qbits, t: int, q_ones, p_min: int,
     """Exact copies of a pattern prefix through the 1-entries (r, c), c in cs:
     {c: (rows_sel, cols_sel)} for every c that has one.
 
-    find_witness's and is_strongly_forcing's walk (_row_witnesses) passes
-    every 1 of row r as cs and the whole pattern; the search's prefix test
-    (_Completions) passes one column, or collects tails.
+    _row_witnesses passes the whole pattern and a set of 1s of row r as cs:
+    every 1 of the row for find_witness, the 1s no copy covers yet for
+    is_strongly_forcing. The search's prefix test (_Completions) passes one
+    column, or collects tails.
 
     Tries every pattern 1-coordinate (y, x) as the anchor in row-major order.
     An anchor in pattern row y asks for a copy of the first
@@ -244,10 +248,11 @@ def _pattern_ones(pattern: BitMatrix) -> tuple[tuple[int, int], ...]:
     return tuple(pattern.iter_ones())
 
 
-def _row_witnesses(mat: BitMatrix, pattern: BitMatrix, r: int) -> dict:
-    """{c: (rows_sel, cols_sel)} for every 1 of row r that has a copy, one walk for the row."""
+def _row_witnesses(mat: BitMatrix, pattern: BitMatrix, r: int, cs: int) -> dict:
+    """{c: (rows_sel, cols_sel)} for every column c in cs, a set of 1s of row
+    r, that has a copy through (r, c): one walk for the set."""
     return _witness_through(mat.bits, mat.rows, mat.cols, pattern.bits, pattern.cols,
-                            _pattern_ones(pattern), pattern.rows, r, mat.bits[r])
+                            _pattern_ones(pattern), pattern.rows, r, cs)
 
 
 # find_witness's memo: the last row asked.
@@ -268,7 +273,7 @@ def find_witness(mat: BitMatrix, pattern: BitMatrix, pos: Position | tuple[int, 
     check_fit(mat.rows, mat.cols, pattern)
     if mat.get(r, c) != 1:
         raise ValueError(f"position ({r + 1}, {c + 1}) is not a 1-entry")
-    got = _last_row_witnesses(mat, pattern, r).get(c)
+    got = _last_row_witnesses(mat, pattern, r, mat.bits[r]).get(c)
     return None if got is None else WitnessEmbedding(*got)
 
 
@@ -293,15 +298,30 @@ def is_strongly_forcing(mat: BitMatrix, pattern: BitMatrix) -> bool:
     """True when every 1-entry of mat lies in a submatrix equal to the pattern.
 
     An all-zero matrix passes vacuously, whatever the pattern. The check
-    collapses mat's runs of equal lines (_collapse), then walks each row of
-    what is left once, as find_witness does: the walk settles a 1 exactly
-    when some copy passes through it, so mat passes when every 1 of every
-    row is settled. The first row with a 1 left over ends the check.
+    collapses mat's runs of equal lines (_collapse), then walks the rows of
+    what is left in order, as find_witness does, but each only over its 1s
+    that no copy found so far covers; a row with none is skipped. The walk
+    settles a 1 exactly when some copy passes through it, and each copy it
+    returns covers all of its own 1s, those of later rows included. So mat
+    passes when every walk settles all of its 1s, and the first walk with a
+    1 left over ends the check.
     """
     check_fit(mat.rows, mat.cols, pattern)
     mat = _collapse(mat, pattern.rows, pattern.cols)
-    return all(len(_row_witnesses(mat, pattern, r)) == row.bit_count()
-               for r, row in enumerate(mat.bits))
+    q_ones = _pattern_ones(pattern)
+    # covered[r]: the 1s of row r known to lie in a copy.
+    covered = [0] * mat.rows
+    for r, row in enumerate(mat.bits):
+        cs = row & ~covered[r]
+        if not cs:
+            continue
+        copies = _row_witnesses(mat, pattern, r, cs)
+        if len(copies) != cs.bit_count():
+            return False
+        for rows_sel, cols_sel in copies.values():
+            for y, x in q_ones:
+                covered[rows_sel[y]] |= 1 << cols_sel[x]
+    return True
 
 
 class _Completions:

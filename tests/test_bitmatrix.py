@@ -1,8 +1,10 @@
 """Matrix value type: construction, transforms, selections, text format."""
 
+import copy
 import random
 import re
 import tracemalloc
+from dataclasses import replace
 
 import pytest
 from hypothesis import given
@@ -59,6 +61,23 @@ class TestConstruction:
 
     def test_hashable_value_semantics(self):
         assert len({identity(3), identity(3), hankel(3)}) == 2
+
+    def test_equal_matrices_hash_equally_however_built(self):
+        # The hash is kept after its first use, so each way to build a matrix
+        # runs before and after its sources have been hashed: a kept hash
+        # must never outlive a change of bits.
+        text = "0110\n1011\n0001"
+        for hash_sources_first in (False, True):
+            source, ones = parse(text), make(3, 4, 1)
+            if hash_sources_first:
+                hash(source), hash(ones)
+            built = [source, parse(text), BitMatrix(3, 4, (6, 13, 8)),
+                     source.transpose().transpose(), replace(ones, bits=source.bits),
+                     copy.copy(source), replace(source, bits=source.bits)]
+            for mat in built:
+                assert mat == source and hash(mat) == hash(source), mat
+            assert hash(replace(source, bits=(6, 13, 9))) == hash(BitMatrix(3, 4, (6, 13, 9)))
+            assert len(set(built)) == 1
 
     @pytest.mark.parametrize("build", [
         lambda: identity(MAX_SIDE + 1),

@@ -419,6 +419,20 @@ class TestPrefixCoverage:
         assert carried > 50 and stuck > 10, (carried, stuck)
 
 
+def counting(monkeypatch, name):
+    """A list that collects the arguments of every call to strong_forcing's
+    function name from now on."""
+    counted = []
+    inner = getattr(strong_forcing, name)
+
+    def count(*args):
+        counted.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(strong_forcing, name, count)
+    return counted
+
+
 def flip_near_runs(rng, mat, rows, cols):
     """mat with one 0 turned to 1, drawn from the 0s in or beside rows
     rows or columns cols; mat itself when there is none."""
@@ -472,21 +486,19 @@ class TestCollapse:
                         verdicts[want] += 1
         assert verdicts[False] > 1000, verdicts
 
-    @pytest.mark.parametrize("text, calls", [("101\n010", 3), ("110\n011\n001", 5),
-                                             ("1010\n0101", 3), ("1111\n1101\n1001\n1111", 7),
-                                             ("100\n001\n010", 5)])
+    @pytest.mark.parametrize("text, calls", [
+        pytest.param("101\n010", 2, id="101_010"),
+        pytest.param("110\n011\n001", 3, id="110_011_001"),
+        pytest.param("1010\n0101", 2, id="1010_0101"),
+        pytest.param("1111\n1101\n1001\n1111", 4, id="1111_1101_1001_1111"),
+        pytest.param("100\n001\n010", 3, id="100_001_010"),
+    ])
     def test_matcher_calls_do_not_grow_with_n(self, text, calls, monkeypatch):
         # The repeated row and column of a linear-zero construction collapse
         # to the same matrix at every n, and the check walks each row of it
-        # once: one witness search per collapsed row, the same at every n.
-        counted = []
-        witness_through = strong_forcing._witness_through
-
-        def counting(*args):
-            counted.append(args)
-            return witness_through(*args)
-
-        monkeypatch.setattr(strong_forcing, "_witness_through", counting)
+        # at most once, skipping the rows whose 1s earlier copies cover: the
+        # same witness searches at every n.
+        counted = counting(monkeypatch, "_witness_through")
         pattern = parse(text)
         for n in (16, 64):
             counted.clear()
@@ -515,6 +527,62 @@ class TestCollapse:
             assert is_strongly_forcing(mat, pattern) == want, (mat, pattern)
             verdicts[want] += 1
         assert min(verdicts.values()) > 300, verdicts
+
+
+class TestCoveringChecker:
+    # is_strongly_forcing walks each row of the collapsed matrix only over
+    # the 1s that no copy found so far covers, and every copy a walk returns
+    # covers all of its 1s. A row whose 1s are all covered is not walked.
+    def test_unions_of_copies_and_flips_match_the_oracle(self, monkeypatch):
+        # Each union of a few copies, placed on random rows and columns, is
+        # strongly forcing unless a later copy spoils an earlier one; each
+        # flip turns one entry over. Where copies span several rows, the
+        # copy found for one row covers 1s of the next, which is skipped.
+        rng = random.Random(33)
+        walks = counting(monkeypatch, "_witness_through")
+        verdicts = {True: 0, False: 0}
+        skipped = 0
+        for _ in range(60):
+            s, t = rng.randint(2, 3), rng.randint(2, 3)
+            pattern = BitMatrix(s, t, tuple(rng.getrandbits(t) for _ in range(s)))
+            if pattern.ones_count() < 2:
+                continue
+            m, n = rng.randint(8, 12), rng.randint(8, 12)
+            bits = [0] * m
+            for _ in range(rng.randint(2, 5)):
+                rows, cols = sorted(rng.sample(range(m), s)), sorted(rng.sample(range(n), t))
+                for y, x in pattern.iter_ones():
+                    bits[rows[y]] |= 1 << cols[x]
+            union = BitMatrix(m, n, tuple(bits))
+            bits[rng.randrange(m)] ^= 1 << rng.randrange(n)
+            for mat in (union, BitMatrix(m, n, tuple(bits))):
+                walks.clear()
+                want = oracle_is_strongly_forcing(mat, pattern)
+                assert is_strongly_forcing(mat, pattern) == want, (mat, pattern)
+                verdicts[want] += 1
+                if want:
+                    lit = sum(map(bool, strong_forcing._collapse(mat, s, t).bits))
+                    assert len(walks) <= lit, (mat, pattern)
+                    skipped += len(walks) < lit
+        assert verdicts[True] >= 50 and verdicts[False] >= 30, verdicts
+        assert skipped >= 40, skipped
+
+    @pytest.mark.parametrize("build, pattern, walks, narrows", [
+        pytest.param(lambda: extremal_identity_witness(24, 5), identity(5), 21, 348,
+                     id="s-nk-24-5"),
+        pytest.param(lambda: extremal_identity_witness(64, 6), identity(6), 60, 2_296,
+                     id="s-nk-64-6"),
+        pytest.param(lambda: extremal_132_witness(64), named("b3"), 63, 2_139, id="t-n-64"),
+    ])
+    def test_walk_and_column_pass_counts(self, build, pattern, walks, narrows, monkeypatch):
+        # No run of equal lines collapses in these witnesses, and the copies
+        # found for one row cover 1s of later rows: a walk for each row with
+        # a 1 left uncovered, over those 1s alone.
+        mat = build()
+        walked = counting(monkeypatch, "_witness_through")
+        passes = counting(monkeypatch, "_narrow")
+        assert is_strongly_forcing(mat, pattern)
+        assert (len(walked), len(passes)) == (walks, narrows)
 
 
 class TestLinearZeroConstruction:
