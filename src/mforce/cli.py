@@ -203,7 +203,6 @@ def cmd_search(args: argparse.Namespace) -> int:
     pattern = load_pattern(args.pattern)
     config = SearchConfig(
         node_budget=args.node_budget,
-        time_budget=args.time_budget,
         use_dihedral_reduction=args.dihedral_reduction,
         enumerate_all_extremal=args.all_extremal,
     )
@@ -285,7 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--n", type=int, required=True)
     p_search.add_argument("--pattern", required=True)
     p_search.add_argument("--node-budget", type=int)
-    p_search.add_argument("--time-budget", type=float, help="seconds")
     p_search.add_argument("--all-extremal", action="store_true",
                           help="collect the whole maximum level set")
     p_search.add_argument("--dihedral-reduction", action="store_true",

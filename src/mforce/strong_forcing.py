@@ -591,18 +591,15 @@ def canonical_with_ops(pattern: BitMatrix) -> tuple[BitMatrix, tuple[str, ...]]:
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Search options; None leaves a budget unset, a negative or NaN one raises ValueError."""
+    """Search options; None leaves the node budget unset, a negative one raises ValueError."""
 
     node_budget: int | None = None
-    time_budget: float | None = None
     use_dihedral_reduction: bool = False
     enumerate_all_extremal: bool = False
 
     def __post_init__(self):
-        for name in ("node_budget", "time_budget"):
-            value = getattr(self, name)
-            if value is not None and not value >= 0:
-                raise ValueError(f"{name.replace('_', ' ')} must be non-negative, got {value}")
+        if self.node_budget is not None and not self.node_budget >= 0:
+            raise ValueError(f"node budget must be non-negative, got {self.node_budget}")
 
 
 @dataclass(frozen=True)
@@ -646,19 +643,19 @@ def search_max(n: int, pattern: BitMatrix, config: SearchConfig | None = None,
                cache: "ResultsCache | None" = None) -> SearchOutcome:
     """Exact maximum ones over strongly forcing n x n matrices.
 
-    Status "exact" certifies best_ones as the maximum; a node or time budget
-    cut gives "budget_exhausted" with the best verified matrix so far, never
-    below the construction floor. With enumerate_all_extremal the witnesses
-    are the whole maximum level set, else one matrix; either way they are
-    sorted by text form. nodes_explored counts every candidate row tried and
-    is deterministic. For a pattern equal to its transpose only one matrix
-    of each pair M != M^T is searched, by the rule in the module docstring,
-    and a level set adds the transposes of those it found. With
-    use_dihedral_reduction the question becomes that of the pattern's
-    canonical_with_ops image, whose witnesses are mapped back at the end. A
-    cache stores exact outcomes only, under the key of that question, and
-    serves a hit only when no node budget is set or the hit's nodes_explored
-    fits in it; a time budget never refuses one. The module docstring
+    Status "exact" certifies best_ones as the maximum; a node budget cut gives
+    "budget_exhausted" with the best verified matrix so far, never below the
+    construction floor, at the same node on every run. With
+    enumerate_all_extremal the witnesses are the whole maximum level set,
+    else one matrix; either way they are sorted by text form. nodes_explored
+    counts every candidate row tried and is deterministic. For a pattern
+    equal to its transpose only one matrix of each pair M != M^T is
+    searched, by the rule in the module docstring, and a level set adds the
+    transposes of those it found. With use_dihedral_reduction the question
+    becomes that of the pattern's canonical_with_ops image, whose witnesses
+    are mapped back at the end. A cache stores exact outcomes only, under
+    the key of that question, and serves a hit only when no node budget is
+    set or the hit's nodes_explored fits in it. The module docstring
     describes the search itself.
     """
     config = config or SearchConfig()
@@ -682,7 +679,6 @@ def search_max(n: int, pattern: BitMatrix, config: SearchConfig | None = None,
 def _branch_and_bound(n: int, pattern: BitMatrix, config: SearchConfig) -> SearchOutcome:
     start = time.monotonic()
     node_limit = math.inf if config.node_budget is None else config.node_budget
-    deadline = start + (math.inf if config.time_budget is None else config.time_budget)
     full = (1 << n) - 1
     s, t = pattern.rows, pattern.cols
     q_ones = _pattern_ones(pattern)
@@ -746,7 +742,7 @@ def _branch_and_bound(n: int, pattern: BitMatrix, config: SearchConfig) -> Searc
             if z + reserve > cap:
                 return
             nodes += 1
-            if nodes > node_limit or (nodes % 1024 == 0 and time.monotonic() > deadline):
+            if nodes > node_limit:
                 raise _BudgetExhausted
             row = full ^ zmask
             child_tied = tied
@@ -823,18 +819,18 @@ def _decode_entry(entry) -> SearchOutcome | None:
 class ResultsCache:
     """JSON-backed store of exact search outcomes, one key per question.
 
-    The key is the order, a colon, then the pattern rows as 0/1 text joined
-    by "/", e.g. "6:1000/0100/0010/0001", with ":all" appended when the
-    search collects the whole extremal level set. Budgets are not part of
+    The key is the order, a colon, then the pattern rows as 0/1 text joined by
+    "/", e.g. "6:1000/0100/0010/0001", with ":all" appended when the search
+    collects the whole extremal level set. The node budget is not part of
     the key: search_max serves a hit only when no node budget is set or the
     hit's nodes_explored fits in it, so a hit is what the same search
-    returns cold when no time budget cuts it, less its elapsed time. Only
-    exact outcomes are stored, each with the CACHE_VERSION that wrote it.
-    save re-reads the file just before its write and rename and keeps the
-    entries of keys it lacks; two saves interleaving in that short window
-    can still lose one. A file that is not one JSON object, or a path whose
-    parent is not a directory, is refused with ValueError at construction,
-    before any search runs; a refused file is never overwritten.
+    returns cold, less its elapsed time. Only exact outcomes are stored,
+    each with the CACHE_VERSION that wrote it. save re-reads the file just
+    before its write and rename and keeps the entries of keys it lacks; two
+    saves interleaving in that short window can still lose one. A file that
+    is not one JSON object, or a path whose parent is not a directory, is
+    refused with ValueError at construction, before any search runs; a
+    refused file is never overwritten.
     """
 
     def __init__(self, path: str | Path):

@@ -144,21 +144,18 @@ def suite_perm_bounds(n_max: int | None = None, k_max: int = 5) -> Iterator[Clai
     for k in range(2, min(k_max, 4) + 1):
         n = 2 * k
         bound = perm_min_bound(n, k)
-        ok = True
         attained = []
-        detail = ""
+        detail = ""  # the first violation, as _agreement keeps its first_bad
         for p in all_permutation_matrices(k):
             value = min_ones(n, n, p).value
-            if value < bound:
-                ok = False
-                detail = f" below bound at {permutation_of(p)}"
-            if (value == bound) != perm_min_equality(p):
-                ok = False
-                detail = f" misclassified {permutation_of(p)}"
+            fault = ("below bound at" if value < bound else
+                     "misclassified" if (value == bound) != perm_min_equality(p) else "")
+            if fault and not detail:
+                detail = f" {fault} {permutation_of(p)}"
             if value == bound:
                 attained.append(p)
         expected = f"min {bound} attained by exactly {{identity, anti-identity}}"
-        actual = expected if ok and len(attained) == 2 else f"violations:{detail or ' count ' + str(len(attained))}"
+        actual = expected if not detail and len(attained) == 2 else f"violations:{detail or ' count ' + str(len(attained))}"
         yield "perm-min-bound", f"k={k},n={n}", expected, actual
     for k in range(1, k_max + 1):
         n = 2 * k + 2

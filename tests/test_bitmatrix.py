@@ -53,6 +53,8 @@ class TestConstruction:
         assert make(3, 3, 1) == BitMatrix(3, 3, (7, 7, 7))
         assert make(3, 3, 1).ones_count() == 9
         assert make(2, 5, 0).ones_count() == 0
+        with pytest.raises(ValueError, match="fill must be 0 or 1"):
+            make(2, 2, 2)
 
     def test_identity_and_hankel(self):
         assert identity(2) == parse("10\n01\n")
@@ -108,6 +110,10 @@ class TestCounts:
         for i in range(mat.rows):
             for j in range(mat.cols):
                 assert ((i, j) in listed) == bool(mat.get(i, j))
+
+    def test_get_outside_the_matrix_raises(self):
+        with pytest.raises(IndexError, match=r"position \(3, 0\) outside 3x3 matrix"):
+            identity(3).get(3, 0)
 
     @given(bitmatrices())
     def test_padding_bits_stay_zero(self, mat):
@@ -235,6 +241,14 @@ class TestTextFormat:
     def test_empty_text_rejected(self):
         with pytest.raises(MatrixFormatError):
             parse("")
+
+    @pytest.mark.parametrize("text, message", [
+        ("0 3\n000\n", "header dimensions must be positive"),
+        ("2 2\n", "header present but no matrix rows follow"),
+    ], ids=["zero-rows", "no-body"])
+    def test_a_header_without_a_body_it_can_describe_is_rejected(self, text, message):
+        with pytest.raises(MatrixFormatError, match=message):
+            parse(text)
 
     def test_empty_first_row_rejected(self):
         # int("", 2) would raise a bare ValueError on the zero-width row.

@@ -116,6 +116,15 @@ class TestMin:
         assert code == 2
         assert "error:" in err
 
+    def test_only_a_window_popcount_count_refuses_an_oversized_side(self, capsys):
+        # The core formula needs no matrix; at n = 2 it does not apply to
+        # I_2, and the window popcount would build 100000 rows.
+        code, out, _ = run_cli(capsys, "min", "--m", "100000", "--n", "100000", "--pattern", "i2")
+        assert (code, out) == (0, "count 9999999998\nmethod core-formula\n")
+        code, out, err = run_cli(capsys, "min", "--m", "100000", "--n", "2", "--pattern", "i2")
+        assert (code, out) == (2, "")
+        assert "65536" in err
+
 
 class TestCheck:
     def test_forcing_yes(self, capsys, tmp_path):
@@ -374,13 +383,18 @@ class TestSearch:
         assert code == 0
         assert json.loads(out)["status"] == "budget_exhausted"
 
-    @pytest.mark.parametrize("flag, value", [
-        ("--node-budget", "-5"), ("--time-budget", "-1"), ("--time-budget", "nan"),
-    ])
+    @pytest.mark.parametrize("flag, value", [("--node-budget", "-5")])
     def test_bad_budget_exits_2(self, capsys, flag, value):
         code, out, err = run_cli(capsys, "search", "--n", "5", "--pattern", "i3", flag, value)
         assert (code, out) == (2, "")
         assert "budget" in err
+
+    def test_time_budget_is_an_unknown_option(self, capsys):
+        # Searches stop by node count alone, so a cut is the same on every run.
+        with pytest.raises(SystemExit) as exc:
+            main(["search", "--n", "5", "--pattern", "i3", "--time-budget", "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --time-budget 1" in capsys.readouterr().err
 
     def test_dihedral_reduction_flag(self, capsys):
         code, out, _ = run_cli(capsys, "search", "--n", "4", "--pattern", "h3",

@@ -266,6 +266,8 @@ class TestMinOnes:
         assert min_ones(3, 4, q).method == "core-formula"
         with pytest.raises(ValueError):
             min_ones_general(3, 4, q)
+        with pytest.raises(ValueError, match="core formula needs m - 0 >= 4 and n - 0 >= 4"):
+            min_ones_core(3, 3, identity(2))
 
 
 class TestPermutationForcing:

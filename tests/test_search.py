@@ -256,12 +256,6 @@ class TestBudgets:
         assert len(out.witnesses) == 1
         assert is_strongly_forcing(out.witnesses[0], identity(3))
 
-    def test_tiny_time_budget(self):
-        out = search_max(6, identity(4), SearchConfig(time_budget=0.0))
-        assert out.status == "budget_exhausted"
-        assert out.best_ones >= 14  # construction floor is already exact here
-        assert is_strongly_forcing(out.witnesses[0], identity(4))
-
     def test_budget_cut_keeps_best_verified_matrix_above_floor(self):
         # The construction floor here is 10; an 11 verifies within 50 nodes.
         q = parse("101\n001")
@@ -276,15 +270,16 @@ class TestBudgets:
         capped = search_max(4, named("c3"), SearchConfig(node_budget=16))
         assert capped.best_ones <= exact
 
-    @pytest.mark.parametrize("budget", [
-        {"node_budget": -1}, {"time_budget": -0.5}, {"time_budget": float("nan")},
-    ], ids=["negative-nodes", "negative-time", "nan-time"])
-    def test_bad_budgets_are_refused(self, budget):
-        with pytest.raises(ValueError, match="budget"):
+    @pytest.mark.parametrize("budget, error, message", [
+        ({"node_budget": -1}, ValueError, "node budget must be non-negative, got -1"),
+        ({"time_budget": 1}, TypeError, "unexpected keyword argument 'time_budget'"),
+    ], ids=["negative-nodes", "no-time-budget"])
+    def test_bad_budgets_are_refused(self, budget, error, message):
+        with pytest.raises(error, match=message):
             SearchConfig(**budget)
 
     def test_zero_budgets_are_accepted(self):
-        out = search_max(5, identity(3), SearchConfig(node_budget=0, time_budget=0.0))
+        out = search_max(5, identity(3), SearchConfig(node_budget=0))
         assert (out.status, out.nodes_explored) == ("budget_exhausted", 1)
 
 

@@ -49,6 +49,11 @@ def test_a_suite_without_claims_is_an_error(monkeypatch):
         run_suite("stub")
 
 
+def test_an_unknown_suite_is_an_error():
+    with pytest.raises(ValueError, match=r"unknown suite 'nope', expected one of \['2x2', "):
+        run_suite("nope")
+
+
 def _failing(rows):
     return sorted({(r.theorem_id, r.instance) for r in rows if r.status == FAIL})
 
@@ -102,3 +107,21 @@ def test_conjecture_fails_when_the_construction_loses_a_one(monkeypatch):
                         lambda n, k: _clear_first_one(real(n, k)))
     rows = run_suite("conjecture", n_max=5, k_max=4)
     assert rows and all(r.status == FAIL for r in rows)
+
+
+@pytest.mark.parametrize("patch, detail", [
+    ("perm_min_bound", " below bound at (0, 1, 2)"),
+    ("perm_min_equality", " misclassified (0, 1, 2)"),
+], ids=["below-bound", "misclassified"])
+def test_perm_bounds_reports_the_first_violation(monkeypatch, patch, detail):
+    # A bound one too high puts the identity, the first permutation, below
+    # it; a classifier that never answers yes misses the identity first. A
+    # later violation (the anti-identity's misclassification, with the bound
+    # raised) must not overwrite it.
+    real_bound = verification.perm_min_bound
+    fakes = {"perm_min_bound": lambda n, k: real_bound(n, k) + 1,
+             "perm_min_equality": lambda p: False}
+    monkeypatch.setattr(verification, patch, fakes[patch])
+    rows = [r for r in run_suite("perm-bounds", k_max=3) if r.theorem_id == "perm-min-bound"]
+    assert [(r.instance, r.status) for r in rows] == [("k=2,n=4", FAIL), ("k=3,n=6", FAIL)]
+    assert rows[1].actual == "violations:" + detail
