@@ -5,10 +5,10 @@ submatrix of A that equals Q exactly. is_strongly_forcing first keeps at
 most s rows of each run of equal rows and t columns of each run of equal
 columns, for an s x t pattern: a copy uses no more of a run than that, and
 the lines of a run are interchangeable in it, so the verdict is unchanged.
-It then walks the rows of the collapsed matrix with find_witness's walk, but
-each only over its 1s that no copy found so far covers: every 1 of a copy is
-in a copy, so the copies a walk returns settle their 1s in later rows too.
-It passes when every walk settles all of its 1s.
+It then makes the search's prefix test after the last row, below, on the
+collapsed matrix: each row is walked once, over its 1s that no copy found
+so far covers, and every copy a walk returns covers its 1s in later rows
+too. It passes when no walk leaves a 1 over.
 
 Where plain forcing asks for minimum ones, the natural extremal question
 here is the maximum: search_max computes max ones over strongly forcing
@@ -24,14 +24,15 @@ prefix test asks that every 1 in rows 0..i lie in a copy of the pattern's
 first p rows inside rows 0..i, for some p >= s - (n-1-i), since the rows of a
 real copy at or above row i are such a prefix; after the last row that is
 strong forcing itself. Its coverage is carried down per prefix length, and
-the test is made once per parent, not per child: a copy that uses the child's
-row ends in it, so the parent lists, for each entry whose copies grew too
-short and for each column of the new row, the partial copies ending in that
+the test is made once per parent, not per child: the parent walks each of
+its rows once, over the 1s outside the coverage, and as a copy that uses the
+child's row ends in it, lists, for each entry whose copies grew too short
+and for each column of the new row, the partial copies ending in that
 row, each as its rows and the column masks its other rows leave, and a child
 passes when the pass accepts its row for one copy of each list. A witness
 search runs through a set of columns of one row: the prefix test's through
-one, find_witness's through every 1 of a row, is_strongly_forcing's through
-the row's 1s that no copy covers yet, in one walk that settles each column
+the row's 1s that no copy covers yet, or one column for a copy list,
+find_witness's through every 1 of a row, in one walk that settles each column
 at its first copy in the fixed witness order (first anchor, least rows,
 least columns), as a walk of its own would. It skips every row that
 disagrees with the pattern at the anchor's column on all of the set's
@@ -112,10 +113,9 @@ def _witness_through(abits, m: int, n: int, qbits, t: int, q_ones, p_min: int,
     """Exact copies of a pattern prefix through the 1-entries (r, c), c in cs:
     {c: (rows_sel, cols_sel)} for every c that has one.
 
-    _row_witnesses passes the whole pattern and a set of 1s of row r as cs:
-    every 1 of the row for find_witness, the 1s no copy covers yet for
-    is_strongly_forcing. The search's prefix test (_Completions) passes one
-    column, or collects tails.
+    _row_witnesses passes the whole pattern and every 1 of row r as cs, for
+    find_witness. The prefix test (_Completions), the checker's too, passes
+    the 1s of row r that no copy covers yet, or one column to collect tails.
 
     Tries every pattern 1-coordinate (y, x) as the anchor in row-major order.
     An anchor in pattern row y asks for a copy of the first
@@ -248,15 +248,12 @@ def _pattern_ones(pattern: BitMatrix) -> tuple[tuple[int, int], ...]:
     return tuple(pattern.iter_ones())
 
 
-def _row_witnesses(mat: BitMatrix, pattern: BitMatrix, r: int, cs: int) -> dict:
-    """{c: (rows_sel, cols_sel)} for every column c in cs, a set of 1s of row
-    r, that has a copy through (r, c): one walk for the set."""
+@lru_cache(maxsize=1)
+def _row_witnesses(mat: BitMatrix, pattern: BitMatrix, r: int) -> dict:
+    """{c: (rows_sel, cols_sel)} for every 1 (r, c) of mat that has a copy
+    through it, from one walk; find_witness's memo of the last row asked."""
     return _witness_through(mat.bits, mat.rows, mat.cols, pattern.bits, pattern.cols,
-                            _pattern_ones(pattern), pattern.rows, r, cs)
-
-
-# find_witness's memo: the last row asked.
-_last_row_witnesses = lru_cache(maxsize=1)(_row_witnesses)
+                            _pattern_ones(pattern), pattern.rows, r, mat.bits[r])
 
 
 def find_witness(mat: BitMatrix, pattern: BitMatrix, pos: Position | tuple[int, int]) -> WitnessEmbedding | None:
@@ -273,7 +270,7 @@ def find_witness(mat: BitMatrix, pattern: BitMatrix, pos: Position | tuple[int, 
     check_fit(mat.rows, mat.cols, pattern)
     if mat.get(r, c) != 1:
         raise ValueError(f"position ({r + 1}, {c + 1}) is not a 1-entry")
-    got = _last_row_witnesses(mat, pattern, r, mat.bits[r]).get(c)
+    got = _row_witnesses(mat, pattern, r).get(c)
     return None if got is None else WitnessEmbedding(*got)
 
 
@@ -298,30 +295,18 @@ def is_strongly_forcing(mat: BitMatrix, pattern: BitMatrix) -> bool:
     """True when every 1-entry of mat lies in a submatrix equal to the pattern.
 
     An all-zero matrix passes vacuously, whatever the pattern. The check
-    collapses mat's runs of equal lines (_collapse), then walks the rows of
-    what is left in order, as find_witness does, but each only over its 1s
-    that no copy found so far covers; a row with none is skipped. The walk
-    settles a 1 exactly when some copy passes through it, and each copy it
-    returns covers all of its own 1s, those of later rows included. So mat
-    passes when every walk settles all of its 1s, and the first walk with a
-    1 left over ends the check.
+    collapses mat's runs of equal lines (_collapse), then makes the search's
+    prefix test after the last row: with every row fixed and p_min the
+    pattern's height, a stale entry is a 1 in no copy, and mat passes when
+    there is none. _Completions walks each row once, over its 1s that no
+    copy found so far covers, and the first row with a 1 left over ends the
+    check.
     """
     check_fit(mat.rows, mat.cols, pattern)
     mat = _collapse(mat, pattern.rows, pattern.cols)
-    q_ones = _pattern_ones(pattern)
-    # covered[r]: the 1s of row r known to lie in a copy.
-    covered = [0] * mat.rows
-    for r, row in enumerate(mat.bits):
-        cs = row & ~covered[r]
-        if not cs:
-            continue
-        copies = _row_witnesses(mat, pattern, r, cs)
-        if len(copies) != cs.bit_count():
-            return False
-        for rows_sel, cols_sel in copies.values():
-            for y, x in q_ones:
-                covered[rows_sel[y]] |= 1 << cols_sel[x]
-    return True
+    s = pattern.rows
+    return _Completions(mat.bits, mat.rows, mat.cols, pattern.bits, pattern.cols,
+                        _pattern_ones(pattern), s, (0,) * (s + 1))._next_stale() is None
 
 
 class _Completions:
@@ -338,16 +323,18 @@ class _Completions:
     _narrow accepts the child's row for, at its least columns, is the hit.
     Each list is made once, the first time a child needs it, by
     _witness_through's tails walk:
-    - a stale entry, a 1 of rows 0..i-1 outside cov[p_min], in row-major
-      order: one witness search inside rows 0..i-1 first (_next_stale); a
-      copy there covers the entry, and the entries of the copy, for every
-      child. Else its list holds the p_min-row copies ending in row i. An
-      entry with an empty list fails every child, but under a node that
-      passed its own test it has copies: p_min grows by at most one a row,
-      and row i can extend any shorter copy by one row;
+    - a stale entry, a 1 of rows 0..i-1 in no copy inside those rows, in
+      row-major order. _next_stale finds them row by row: one witness search
+      per row, over its 1s outside cov[p_min] and the copies found so far;
+      each copy it finds covers its entries for every child. A stale
+      entry's list holds the p_min-row copies ending in row i. An entry
+      with an empty list fails every child, but under a node that passed
+      its own test it has copies: p_min grows by at most one a row, and row
+      i can extend any shorter copy by one row;
     - a column c of row i: the copies ending in row i through (i, c),
       anchored at any pattern row y >= p_min - 1, longest first.
-    The search alone uses it; is_strongly_forcing reads _row_witnesses.
+    After the last row, i the matrix's height and p_min the pattern's, a
+    stale entry is a 1 in no copy: is_strongly_forcing asks for none.
     """
 
     def __init__(self, rows, i: int, n: int, qbits, t: int, q_ones, p_min: int,
@@ -355,10 +342,9 @@ class _Completions:
         self.rows, self.i, self.n, self.qbits, self.t = rows, i, n, qbits, t
         self.q_ones, self.p_min = q_ones, p_min
         self.levels = list(cov)
-        flat = 0
-        for r in range(i):
-            flat |= rows[r] << (r * n)
-        self.todo = flat & ~cov[p_min]
+        # The next row to walk, and the stale entries of the last row walked
+        # not yet returned, one bit per entry.
+        self.walked, self.open = 0, 0
         self.stale: list[list] = []
         self.by_column: dict[int, list] = {}
 
@@ -376,21 +362,24 @@ class _Completions:
             levels[p] |= cells
 
     def _next_stale(self) -> tuple[int, int] | None:
-        # Settles stale entries in order and returns the first with no copy
-        # inside rows 0..i-1, or None when none is left.
+        # The next stale entry in row-major order, or None when none is left.
+        # Each row is walked once, over its 1s outside levels[p_min]; every
+        # copy the walk finds is marked, and the 1s it leaves are queued.
         levels, n, p_min = self.levels, self.n, self.p_min
-        while self.todo:
-            low = self.todo & -self.todo
-            self.todo ^= low
-            if levels[p_min] & low:
-                continue
-            r, c = divmod(low.bit_length() - 1, n)
-            got = _witness_through(self.rows, self.i, n, self.qbits, self.t, self.q_ones,
-                                   p_min, r, 1 << c).get(c)
-            if got is None:
-                return r, c
-            self._mark(levels, *got)
-        return None
+        while not self.open and self.walked < self.i:
+            r = self.walked
+            self.walked += 1
+            cs = self.rows[r] & ~(levels[p_min] >> r * n)
+            if cs:
+                for got in _witness_through(self.rows, self.i, n, self.qbits, self.t,
+                                            self.q_ones, p_min, r, cs).values():
+                    self._mark(levels, *got)
+                self.open = self.rows[r] << r * n & ~levels[p_min]
+        if not self.open:
+            return None
+        low = self.open & -self.open
+        self.open ^= low
+        return divmod(low.bit_length() - 1, n)
 
     def child_cov(self, row: int) -> tuple[int, ...] | None:
         """The child's coverage, the parent's plus one hit per list, or None."""

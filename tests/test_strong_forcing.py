@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from conftest import all_nonzero_patterns, load, load_matrix, nonzero_patterns
 from mforce import (
     BitMatrix,
+    SearchConfig,
     WitnessEmbedding,
     all_permutation_matrices,
     apply_symmetry,
@@ -28,6 +29,7 @@ from mforce import (
     oracle_is_strongly_forcing,
     parse,
     permutation_of,
+    search_max,
     split_witness,
     upper_bound_simple,
 )
@@ -418,6 +420,40 @@ class TestPrefixCoverage:
                 rows = rows + [row]
         assert carried > 50 and stuck > 10, (carried, stuck)
 
+    def test_stale_entries_come_in_row_major_order(self):
+        # _next_stale walks each row once, over its 1s outside the coverage,
+        # and queues the 1s the walk leaves. Asked until it returns None, it
+        # gives the 1s of rows 0..i-1 in no copy of p_min or more pattern
+        # rows inside those rows, in row-major order: the entries that one
+        # walk per entry finds no copy for. The coverage is some of the
+        # copies' entries, by length, as a search node carries it.
+        rng = random.Random(37)
+        patterns = [identity(2), identity(3), named("b3"), parse("101\n010"), parse("11\n10")]
+        counts = {"none": 0, "some": 0, "queued": 0}
+        for _ in range(240):
+            pattern = rng.choice(patterns)
+            s, t = pattern.rows, pattern.cols
+            n, i, p_min = rng.randint(t, 7), rng.randint(1, 7), rng.randint(1, s)
+            rows = [rng.getrandbits(n) | rng.getrandbits(n) for _ in range(i)]
+            q_ones = tuple(pattern.iter_ones())
+            at_least = [set().union(*[literal_prefix_cover(rows, n, pattern, q)
+                                      for q in range(max(p, 1), s + 1)])
+                        for p in range(s + 1)]
+            ones = [(r, c) for r in range(i) for c in range(n) if rows[r] >> c & 1]
+            want = [(r, c) for r, c in ones
+                    if c not in strong_forcing._witness_through(rows, i, n, pattern.bits, t,
+                                                                q_ones, p_min, r, 1 << c)]
+            assert want == [pos for pos in ones if pos not in at_least[p_min]], (rows, pattern)
+            some = {pos for pos in ones if rng.random() < 0.5}
+            cov = tuple(sum(1 << (r * n + c) for r, c in some & level) for level in at_least)
+            node = _Completions(rows + [rng.getrandbits(n)], i, n, pattern.bits, t, q_ones,
+                                p_min, cov)
+            assert list(iter(node._next_stale, None)) == want, (rows, pattern, p_min)
+            assert node._next_stale() is None
+            counts["some" if want else "none"] += 1
+            counts["queued"] += any(a[0] == b[0] for a, b in zip(want, want[1:]))
+        assert min(counts.values()) >= 20, counts
+
 
 def counting(monkeypatch, name):
     """A list that collects the arguments of every call to strong_forcing's
@@ -583,6 +619,20 @@ class TestCoveringChecker:
         passes = counting(monkeypatch, "_narrow")
         assert is_strongly_forcing(mat, pattern)
         assert (len(walked), len(passes)) == (walks, narrows)
+
+    @pytest.mark.parametrize("n, pattern, config, nodes, walks", [
+        pytest.param(6, identity(3), None, 20_627, 3_794, id="6-i3"),
+        pytest.param(6, identity(4), None, 14_904, 2_511, id="6-i4"),
+        pytest.param(5, named("b3"), SearchConfig(use_dihedral_reduction=True,
+                                                  enumerate_all_extremal=True),
+                     3_405, 1_154, id="5-b3-all"),
+    ])
+    def test_search_walk_counts(self, n, pattern, config, nodes, walks, monkeypatch):
+        # A search node walks each of its rows once, over the 1s its
+        # coverage leaves open, as the checker does after the last row; the
+        # children's copy lists take a walk each.
+        walked = counting(monkeypatch, "_witness_through")
+        assert (search_max(n, pattern, config).nodes_explored, len(walked)) == (nodes, walks)
 
 
 class TestLinearZeroConstruction:
