@@ -4,8 +4,9 @@ A matrix A is Q-forcing when every submatrix of A with the pattern's shape
 can be turned into Q by flipping 1s to 0s, and strongly Q-forcing when every
 1-entry of A sits inside a submatrix equal to Q. The package computes the
 associated extremal counts exactly: minimum ones for forcing via closed
-formulas with a brute-force fallback, maximum ones for strong forcing via
-a certified branch-and-bound search, plus the constructions that attain them.
+formulas, else by counting the window union one run of equal rows at a
+time, maximum ones for strong forcing via a certified branch-and-bound
+search, plus the constructions that attain them.
 """
 
 from .bitmatrix import (

@@ -10,6 +10,8 @@ count has closed forms driven by four corner profiles of Q.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache, reduce
+from operator import or_
 from typing import NamedTuple
 
 from .bitmatrix import BitMatrix, Position, check_fit, check_pattern, check_sides, entrywise_leq, serialize
@@ -170,25 +172,46 @@ def _smear(value: int, width: int) -> int:
     return out
 
 
+def _smear_count(value: int, width: int) -> int:
+    # Popcount of _smear(value, width) without building it: the lowest 1
+    # adds width columns, and each later 1 adds min(width, gap to the last).
+    count, last = 0, -width
+    while value:
+        low = (value & -value).bit_length() - 1
+        count, last = count + min(width, low - last), low
+        value &= value - 1
+    return count
+
+
+@lru_cache
+def _row_spans(m: int, s: int) -> tuple[tuple[int, int, int], ...]:
+    # Row i of the m-row window union ORs pattern rows max(0, i - (m - s))
+    # .. min(s - 1, i), the rows some window can place on it. A run (lo, hi, k)
+    # says that the next k rows OR pattern rows lo..hi; rows s - 1 .. m - s
+    # all OR every pattern row and form one run, so there are at most 2s - 1.
+    span = m - s
+    runs, i = [], 0
+    while i < m:
+        k = span - i + 1 if s - 1 <= i <= span else 1
+        runs.append((max(0, i - span), min(s - 1, i), k))
+        i += k
+    return tuple(runs)
+
+
 def minimal_forcing(m: int, n: int, pattern: BitMatrix) -> BitMatrix:
     """The unique minimum-ones m x n matrix forcing the pattern.
 
     Entry (r0+y, c0+x) must be 1 whenever the pattern has a 1 at (y, x) and
     (r0, c0) is a valid window position; the minimum is exactly that union.
     Row i therefore ORs the horizontal smear of every pattern row that some
-    window can place on row i.
+    window can place on row i, read off the runs of _row_spans.
     """
     check_pattern(m, n, pattern)
     check_sides(m, n)
-    s, t = pattern.rows, pattern.cols
-    smears = [_smear(row, n - t + 1) for row in pattern.bits]
-    span = m - s
+    smears = [_smear(row, n - pattern.cols + 1) for row in pattern.bits]
     out = []
-    for i in range(m):
-        acc = 0
-        for y in range(max(0, i - span), min(s - 1, i) + 1):
-            acc |= smears[y]
-        out.append(acc)
+    for lo, hi, k in _row_spans(m, pattern.rows):
+        out += [reduce(or_, smears[lo : hi + 1])] * k
     return BitMatrix(m, n, tuple(out))
 
 
@@ -289,8 +312,15 @@ def min_ones(m: int, n: int, pattern: BitMatrix) -> MinOnesResult:
 
     Dispatch: a pattern filling the whole ambient is its own unique forcing
     matrix; otherwise the core closed form applies whenever its precondition
-    holds (it subsumes the general one); otherwise fall back to counting the
-    window construction directly.
+    holds (it subsumes the general one); otherwise the window union's count
+    is summed over the runs of _row_spans, each k rows times the popcount of
+    the smeared OR of pattern rows lo..hi. No method builds a matrix, so a
+    count takes any side.
+
+    The count does not fall from (m, n) to (m + 1, n) or (m, n + 1): every
+    window of the smaller ambient is a window of the larger. In the sum,
+    each run's count grows with the smear width n - t + 1, and once
+    m >= 2s - 1 only the middle run's length m - 2s + 2 changes with m.
     """
     check_pattern(m, n, pattern)
     if (m, n) == (pattern.rows, pattern.cols):
@@ -298,7 +328,14 @@ def min_ones(m: int, n: int, pattern: BitMatrix) -> MinOnesResult:
     count = _core_formula(m, n, pattern, core(pattern).core)
     if count is not None:
         return MinOnesResult(count, "core-formula")
-    return MinOnesResult(minimal_forcing(m, n, pattern).ones_count(), "window-popcount")
+    return MinOnesResult(_union_count(m, n, pattern), "window-popcount")
+
+
+def _union_count(m: int, n: int, pattern: BitMatrix) -> int:
+    # Ones of minimal_forcing(m, n, pattern), summed over its row runs.
+    width = n - pattern.cols + 1
+    return sum(k * _smear_count(reduce(or_, pattern.bits[lo : hi + 1]), width)
+               for lo, hi, k in _row_spans(m, pattern.rows))
 
 
 # -- permutation patterns ------------------------------------------------------

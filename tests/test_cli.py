@@ -116,12 +116,17 @@ class TestMin:
         assert code == 2
         assert "error:" in err
 
-    def test_only_a_window_popcount_count_refuses_an_oversized_side(self, capsys):
-        # The core formula needs no matrix; at n = 2 it does not apply to
-        # I_2, and the window popcount would build 100000 rows.
+    def test_a_count_takes_any_side_but_a_matrix_does_not(self, capsys):
+        # At n = 2 the core formula does not apply to I_2; the window
+        # popcount is summed over row runs, while the matrix is refused.
         code, out, _ = run_cli(capsys, "min", "--m", "100000", "--n", "100000", "--pattern", "i2")
         assert (code, out) == (0, "count 9999999998\nmethod core-formula\n")
-        code, out, err = run_cli(capsys, "min", "--m", "100000", "--n", "2", "--pattern", "i2")
+        code, out, _ = run_cli(capsys, "min", "--m", "100000", "--n", "2", "--pattern", "i2")
+        assert (code, out) == (0, "count 199998\nmethod window-popcount\n")
+        code, out, _ = run_cli(capsys, "min", "--m", "1000000000", "--n", "2", "--pattern", "i2")
+        assert (code, out) == (0, "count 1999999998\nmethod window-popcount\n")
+        code, out, err = run_cli(capsys, "min", "--m", "100000", "--n", "2", "--pattern", "i2",
+                                 "--emit", "matrix")
         assert (code, out) == (2, "")
         assert "65536" in err
 

@@ -27,7 +27,8 @@ from mforce import (
     perm_min_equality,
     permutation_matrix,
 )
-from mforce.forcing import minimal_forcing_from_corners
+from mforce import forcing
+from mforce.forcing import _row_spans, _smear, _smear_count, _union_count, minimal_forcing_from_corners
 
 
 class TestCornerFunctions:
@@ -231,6 +232,28 @@ class TestMinOnes:
         assert got.method == "window-popcount"
         assert got.value == minimal_forcing(4, 4, identity(3)).ones_count()
 
+    def test_every_count_is_the_window_unions_popcount(self):
+        # Every nonzero pattern up to 3x3 in every ambient up to 12x12.
+        cells = 0
+        for pattern in all_nonzero_patterns():
+            for m in range(pattern.rows, 13):
+                for n in range(pattern.cols, 13):
+                    cells += 1
+                    want = minimal_forcing(m, n, pattern).ones_count()
+                    assert min_ones(m, n, pattern).value == want, (pattern, m, n)
+        assert cells == 69391
+
+    def test_no_method_builds_the_matrix(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("min_ones built the matrix")
+
+        monkeypatch.setattr(forcing, "minimal_forcing", refuse)
+        q = identity(3)
+        assert min_ones(3, 3, q) == (3, "exact-dimensions")
+        assert min_ones(6, 6, q) == (30, "core-formula")
+        assert min_ones(4, 4, q) == (10, "window-popcount")
+        assert min_ones(10**9, 4, q) == (4 * 10**9 - 6, "window-popcount")
+
     def test_i2_leaves_exactly_two_entries_free(self):
         for n in range(4, 9):
             assert min_ones(n, n, identity(2)).value == n * n - 2
@@ -268,6 +291,51 @@ class TestMinOnes:
             min_ones_general(3, 4, q)
         with pytest.raises(ValueError, match="core formula needs m - 0 >= 4 and n - 0 >= 4"):
             min_ones_core(3, 3, identity(2))
+
+
+class TestRowSpans:
+    def test_runs_expand_to_each_rows_window_range(self):
+        for s in range(1, 6):
+            for m in range(s, 20):
+                want = [(max(0, i - (m - s)), min(s - 1, i)) for i in range(m)]
+                got = [(lo, hi) for lo, hi, k in _row_spans(m, s) for _ in range(k)]
+                assert got == want, (m, s)
+                assert len(_row_spans(m, s)) <= 2 * s - 1
+
+    def test_edge_cases(self):
+        # One pattern row: one run. m = s: every row its own pattern row.
+        assert _row_spans(7, 1) == ((0, 0, 7),)
+        assert _row_spans(3, 3) == ((0, 0, 1), (1, 1, 1), (2, 2, 1))
+        # m = 2s - 2: no row sees every pattern row; m = 2s - 1: one does.
+        assert _row_spans(4, 3) == ((0, 0, 1), (0, 1, 1), (1, 2, 1), (2, 2, 1))
+        assert _row_spans(5, 3) == ((0, 0, 1), (0, 1, 1), (0, 2, 1), (1, 2, 1), (2, 2, 1))
+        assert _row_spans(9, 3) == ((0, 0, 1), (0, 1, 1), (0, 2, 5), (1, 2, 1), (2, 2, 1))
+
+    def test_smear_count_is_the_smears_popcount(self):
+        for width in range(1, 13):
+            for value in range(1 << 6):
+                assert _smear_count(value, width) == _smear(value, width).bit_count(), (value, width)
+
+    def test_closed_forms_and_growth_at_sides_near_a_million(self):
+        # Far past what minimal_forcing can build, every closed form equals
+        # the run sum, and the count does not fall as m or n grows.
+        big = 10**6
+        for pattern in all_nonzero_patterns():
+            s, t = pattern.rows, pattern.cols
+            full_core = core(pattern).core == pattern
+            for m in (s, 2 * s - 1, 2 * s, big):
+                for n in (t, 2 * t - 1, 2 * t, big):
+                    want = _union_count(m, n, pattern)
+                    got = min_ones(m, n, pattern)
+                    assert got.value == want, (pattern, m, n)
+                    if got.method == "core-formula":
+                        assert min_ones_core(m, n, pattern) == want
+                    if m >= 2 * s and n >= 2 * t:
+                        assert min_ones_general(m, n, pattern) == want
+                        if full_core:
+                            assert min_ones_boundary(m, n, pattern) == want
+                    assert min_ones(m + 1, n, pattern).value >= want, (pattern, m, n)
+                    assert min_ones(m, n + 1, pattern).value >= want, (pattern, m, n)
 
 
 class TestPermutationForcing:
