@@ -63,26 +63,24 @@ class CornerReport:
         }
 
 
-def _corner_widths(pattern: BitMatrix) -> tuple[list[int], ...]:
-    """Row widths of the nw, ne, sw and se staircases, each from its corner's row."""
+@lru_cache(maxsize=2)
+def _corner_widths(pattern: BitMatrix) -> tuple[tuple[int, ...], ...]:
+    """Row widths of the nw, ne, sw and se staircases, each from its corner's row.
+
+    The last two patterns asked, a pattern's and its core's, are kept.
+    """
     t = pattern.cols
 
-    def sweep(rows) -> tuple[list[int], list[int]]:
+    def sweep(rows) -> tuple[tuple[int, ...], tuple[int, ...]]:
         low, high = [], []
         seen = 0
         for row in rows:
             seen |= row
             low.append((seen & -seen).bit_length() - 1 if seen else t)
             high.append(t - seen.bit_length())
-        return low, high
+        return tuple(low), tuple(high)
 
     return sweep(pattern.bits) + sweep(reversed(pattern.bits))
-
-
-def _trim(shape: list[int]) -> tuple[int, ...]:
-    while shape and shape[-1] == 0:
-        shape.pop()
-    return tuple(shape)
 
 
 def corner_functions(pattern: BitMatrix) -> CornerReport:
@@ -95,10 +93,11 @@ def corner_functions(pattern: BitMatrix) -> CornerReport:
     sw = frozenset(Position(s - 1 - i, j) for i, w in enumerate(sw_w) for j in range(w))
     se = frozenset(Position(s - 1 - i, t - 1 - j) for i, w in enumerate(se_w) for j in range(w))
 
+    # The widths never increase, so dropping the zeros trims the trailing ones.
     return CornerReport(
         nw=nw, ne=ne, se=se, sw=sw,
-        nw_shape=_trim(nw_w), ne_shape=_trim(ne_w),
-        se_shape=_trim(se_w), sw_shape=_trim(sw_w),
+        nw_shape=tuple(filter(None, nw_w)), ne_shape=tuple(filter(None, ne_w)),
+        se_shape=tuple(filter(None, se_w)), sw_shape=tuple(filter(None, sw_w)),
     )
 
 
@@ -138,7 +137,9 @@ class CoreDecomposition:
         }
 
 
+@lru_cache(maxsize=2)
 def core(pattern: BitMatrix) -> CoreDecomposition:
+    """The pattern's zero borders and core; the last two patterns asked are kept."""
     if pattern.ones_count() == 0:
         raise ValueError("all-zero patterns have no core")
     top = 0

@@ -21,10 +21,11 @@ an exact copy are the AND of ``var[b]`` over its copy cells and of
 ``~var[b]`` over its other window cells, and the strongly forcing codes are
 those where every set cell is covered by some such copy.
 
-The minimal-forcing oracle walks every placement too, once per geometry
-(m, n, s, t) rather than once per pattern: ``_cell_unions`` records, for each
-pattern cell, the matrix cells it lands on over all placements, and a
-pattern's union is the OR of its 1-cells' records.
+The minimal-forcing oracle uses the same flattening. ``_cell_unions`` walks
+the row subsets and the column subsets apart, once per geometry (m, n, s, t):
+pattern cell (y, x) lands on the rows where some row subset puts y, times the
+columns where some column subset puts x. A pattern's union is the OR of its
+1-cells' ints.
 """
 
 from __future__ import annotations
@@ -52,41 +53,45 @@ def _check_cap(m: int, n: int, pattern: BitMatrix) -> None:
 
 
 @lru_cache
-def _cell_unions(m: int, n: int, s: int, t: int) -> tuple[tuple[int, ...], ...]:
+def _cell_unions(m: int, n: int, s: int, t: int) -> tuple[int, ...]:
     """Where each cell of an s x t pattern lands over every placement in an m x n matrix.
 
-    Entry y * t + x holds one column mask per matrix row: bit c of row r is set
-    when some row/column subset placement maps pattern cell (y, x) to (r, c).
-    The tables are immutable and the cache keeps the 128 most recent
+    Entry y * t + x is a row-major int whose bit (r, c) is set when some
+    placement maps pattern cell (y, x) to (r, c): every row some row subset
+    puts y on, times every column some column subset puts x on. The two walks
+    take C(m, s) + C(n, t) steps, and the cache keeps the 128 most recent
     geometries, so every pattern of one shape and size shares one walk.
     """
-    cells = [[0] * m for _ in range(s * t)]
-    col_sels = list(combinations(range(n), t))
+    rows, cols = [0] * s, [0] * t
     for row_sel in combinations(range(m), s):
-        for col_sel in col_sels:
-            for y, r in enumerate(row_sel):
-                for x, c in enumerate(col_sel):
-                    cells[y * t + x][r] |= 1 << c
-    return tuple(map(tuple, cells))
+        for y, r in enumerate(row_sel):
+            rows[y] |= 1 << r
+    for col_sel in combinations(range(n), t):
+        for x, c in enumerate(col_sel):
+            cols[x] |= 1 << c
+    return tuple(sum(col << (r * n) for r in range(m) if rows[y] >> r & 1)
+                 for y in range(s) for col in cols)
 
 
 def oracle_minimal_forcing(m: int, n: int, pattern: BitMatrix) -> BitMatrix:
     """Union of the pattern's 1-entries over every row/column subset placement.
 
     A matrix forces the pattern exactly when it dominates this union, so the
-    union is the unique minimum-ones forcing matrix. Every placement is
-    walked, once per geometry by ``_cell_unions``, and its copy is ORed in
-    grouped by pattern cell: the union is the OR of the pattern's 1-cells'
-    records.
+    union is the unique minimum-ones forcing matrix: the OR of the ints
+    ``_cell_unions`` records for the pattern's 1-cells, cut into m rows once.
     """
     check_pattern(m, n, pattern)
     _check_cap(m, n, pattern)
-    table = _cell_unions(m, n, pattern.rows, pattern.cols)
-    grid = [0] * m
-    for y, x in pattern.iter_ones():
-        for r, cols in enumerate(table[y * pattern.cols + x]):
-            grid[r] |= cols
-    return BitMatrix(m, n, tuple(grid))
+    t = pattern.cols
+    table = _cell_unions(m, n, pattern.rows, t)
+    flat = 0
+    for y, row in enumerate(pattern.bits):  # iter_ones would build a Position per 1
+        while row:
+            low = row & -row
+            flat |= table[y * t + low.bit_length() - 1]
+            row ^= low
+    mask = (1 << n) - 1
+    return BitMatrix(m, n, tuple([flat >> (r * n) & mask for r in range(m)]))
 
 
 @lru_cache(maxsize=16)

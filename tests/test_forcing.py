@@ -138,6 +138,40 @@ class TestCore:
             core(make(2, 3, 0))
 
 
+class TestTwoPatternMemo:
+    """core and _corner_widths keep the last two patterns asked, shared by every caller."""
+
+    def test_holds_at_most_two_patterns(self):
+        assert core.cache_info().maxsize == forcing._corner_widths.cache_info().maxsize == 2
+
+    def test_corner_functions_leaves_the_shared_widths_alone(self):
+        # corner_functions drops the trailing zero widths of each staircase;
+        # it must not drop them from the shared entry, or the next reader of
+        # the memo sees short staircases.
+        for q in all_nonzero_patterns():
+            m, n = 2 * q.rows, 2 * q.cols
+            full = core(q).core == q
+
+            def readings():
+                return (
+                    [list(w) for w in forcing._corner_widths(q)],
+                    min_ones_general(m, n, q),
+                    min_ones_boundary(m, n, q) if full else None,
+                    minimal_forcing_from_corners(m, n, q),
+                )
+
+            before = readings()
+            assert corner_functions(q) == corner_functions(q), q
+            assert readings() == before, q
+
+    def test_an_equal_pattern_gets_an_equal_core(self):
+        q = parse("000\n010\n011\n")
+        twin = BitMatrix(q.rows, q.cols, tuple(list(q.bits)))
+        assert twin is not q
+        assert core(twin) == core(q)
+        assert core(twin).core == parse("10\n11\n")
+
+
 class TestMinimalForcing:
     def test_seven_by_six_example_at_14x12(self):
         q = load_matrix("example_pattern_7x6.txt")

@@ -52,10 +52,12 @@ class TestMinimalForcingOracle:
 
     def test_matches_the_literal_union(self):
         # One process for every pattern and shape, so tables built for one
-        # pattern are reused by the next one of the same size.
+        # pattern are reused by the next one of the same size. The pattern's
+        # own shape, and two rows more, leave one side a single selection.
         for q in all_nonzero_patterns():
             ones = list(q.iter_ones())
-            for m, n in ((3, 3), (3, 5), (5, 3), (4, 6), (6, 4)):
+            for m, n in ((3, 3), (3, 5), (5, 3), (4, 6), (6, 4),
+                         (q.rows, q.cols), (q.rows + 2, q.cols)):
                 if q.rows > m or q.cols > n:
                     continue
                 grid = [0] * m

@@ -76,6 +76,36 @@ def test_lemma21_fails_when_the_window_construction_is_off_by_one(monkeypatch):
     assert _failing(run_suite("lemma21", n_max=4)) == [("window-equals-oracle", "m=4,n=4")]
 
 
+def test_lemma21_fails_when_the_oracle_drops_a_cell(monkeypatch):
+    real = verification.oracle_minimal_forcing
+
+    def drop_one(m, n, q):
+        out = real(m, n, q)
+        return _clear_first_one(out) if q == identity(2) else out
+
+    monkeypatch.setattr(verification, "oracle_minimal_forcing", drop_one)
+    rows = run_suite("lemma21", n_max=4)
+    assert _failing(rows) == [("window-equals-oracle", "m=4,n=4")]
+    assert rows[0].actual == "672/673 agree first disagreement 2x2:(1, 2)"
+
+
+def test_formulas_fail_when_the_core_form_is_off_by_one(monkeypatch):
+    # I_2 is checked at every size from 4 x 4, so each of the four cells
+    # fails, and each names it as its first disagreement.
+    real = verification.min_ones_core
+
+    def off_by_one(m, n, q):
+        return real(m, n, q) + (q == identity(2))
+
+    monkeypatch.setattr(verification, "min_ones_core", off_by_one)
+    rows = run_suite("formulas", n_max=5)
+    assert _failing(rows) == [("closed-forms-match-window", f"m={m},n={n}")
+                              for m in (4, 5) for n in (4, 5)]
+    assert {(r.expected, r.actual) for r in rows} == {
+        ("22/22 agree", "21/22 agree first disagreement 2x2:(1, 2)"),
+    }
+
+
 def test_3x3_fails_when_the_oracle_finds_one_less(monkeypatch):
     real = verification.oracle_max_strong
 
